@@ -3,8 +3,9 @@
 A truncated series with coefficients in [0, p^N) is packed into a single
 integer, one byte-aligned limb per coefficient, so that a series product is
 one big-integer multiplication (Kronecker substitution).  Limbs are sized to
-absorb a full truncated convolution plus a small number of accumulated
-products, which lets matrix products sum raw limb data and normalize once.
+absorb a full truncated convolution plus a bounded number of accumulated
+products, which lets matrix products and linear combinations sum raw limb
+data and normalize once.
 
 Results are bit-identical to the naive convolution; the test suite checks
 this against an independent reference multiplier.
@@ -16,10 +17,16 @@ from __future__ import annotations
 class SeriesKernel:
     """Arithmetic for one (p, N, M) triple.  Stateless apart from caches."""
 
-    __slots__ = ("p", "N", "M", "pN", "limb", "lbits", "mask", "_tables", "_offset")
+    __slots__ = ("p", "N", "M", "pN", "limb", "lbits", "mask", "max_terms",
+                 "_tables")
 
-    #: accumulation headroom: up to 2^6 raw products may be summed before
-    #: a normalize, enough for d <= 8 matrix rows plus carries
+    #: Accumulation headroom.  A raw product limb sums at most M terms, each
+    #: a product of two reduced coefficients (< p^{2N}), so it stays below
+    #: M * p^{2N}; these 7 extra bits let one limb hold the sum of at least
+    #: 2^7 = 128 raw products before a normalize.  `max_terms` is the exact
+    #: capacity in terms below p^{2N}: a d x d `mat_mul` spends d * M of it
+    #: (d <= 128 always fits), a `dot` one per coefficient (the solver's
+    #: mixing step sums d^2 + 1).  Both check before they accumulate.
     HEADROOM_BITS = 7
 
     def __init__(self, p: int, N: int, M: int):
@@ -29,8 +36,18 @@ class SeriesKernel:
         self.limb = (bits + 7) // 8
         self.lbits = 8 * self.limb
         self.mask = (1 << (self.lbits * M)) - 1
+        self.max_terms = ((1 << self.lbits) - 1) // (self.pN - 1) ** 2
         self._tables: dict = {}
-        self._offset = None
+
+    def _room(self, terms: int):
+        """Raise before a sum of `terms` limb terms (each < p^{2N}) could
+        carry out of its limb."""
+        if terms > self.max_terms:
+            raise OverflowError(
+                f"packed accumulation of {terms} terms overflows the "
+                f"{self.lbits}-bit limbs of the (p, N, M) = "
+                f"({self.p}, {self.N}, {self.M}) kernel, which hold "
+                f"{self.max_terms}")
 
     # -- packing -----------------------------------------------------------
 
@@ -58,22 +75,22 @@ class SeriesKernel:
     def mul_n(self, a: int, b: int) -> int:
         return self.normalize((a * b) & self.mask)
 
-    def sub(self, a: int, b: int) -> int:
-        """a - b for normalized inputs, limbwise nonnegative via an offset."""
-        if self._offset is None:
-            self._offset = self.pack([self.pN] * self.M)
-        return a + (self._offset - b)
+    def dot(self, coeffs, values, acc: int = 0) -> int:
+        """Raw acc + sum of coeffs[k] * values[k]: integer coefficients in
+        [0, p^N) against normalized packed values, acc normalized or 0."""
+        self._room(len(coeffs) + 1)
+        for c, t in zip(coeffs, values):
+            if c:
+                acc += c * t
+        return acc
 
     def combo(self, coeffs, table) -> int:
-        """Sum of coeffs[k] * table[k]; table entries normalized packed.
+        """Normalized sum of coeffs[k] * table[k]; table entries normalized
+        packed.
 
         This is the substitution workhorse: applying pi -> g to a series s
         is combo(coeffs(s), powers of g)."""
-        acc = 0
-        for c, t in zip(coeffs, table):
-            if c:
-                acc += c * t
-        return self.normalize(acc & self.mask)
+        return self.normalize(self.dot(coeffs, table) & self.mask)
 
     # -- substitution tables --------------------------------------------------
 
@@ -98,6 +115,7 @@ class SeriesKernel:
 
     def mat_mul(self, A, B, d: int):
         """Product of d x d matrices of normalized packed series."""
+        self._room(d * self.M)
         out = []
         for i in range(d):
             row = []
@@ -109,17 +127,6 @@ class SeriesKernel:
                 row.append(self.normalize(acc & self.mask))
             out.append(row)
         return out
-
-    def mat_subst(self, A, table, d: int):
-        """Entrywise substitution via a power table (A given as coefficient
-        lists, not packed)."""
-        return [[self.combo(A[i][j], table) for j in range(d)] for i in range(d)]
-
-    def mat_unpack(self, A, d: int):
-        return [[self.unpack(A[i][j]) for j in range(d)] for i in range(d)]
-
-    def mat_pack(self, A, d: int):
-        return [[self.pack(A[i][j]) for j in range(d)] for i in range(d)]
 
 
 _kernels: dict[tuple[int, int, int], SeriesKernel] = {}

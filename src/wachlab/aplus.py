@@ -208,6 +208,13 @@ def substitute(s: APlusSeries, g: APlusSeries) -> APlusSeries:
     return acc
 
 
+def phi_table(ctx: PrecisionContext, order: int) -> list[int]:
+    """Packed powers of phi(pi) = (1+pi)^p - 1 modulo pi^order (f = 1): the
+    table every packed Frobenius substitutes with."""
+    ker = get_kernel(ctx.p, ctx.N, order)
+    return ker.power_table(("phi",), lambda: _subst_coeffs(ctx, ctx.p, order))
+
+
 def phi_series(s: APlusSeries) -> APlusSeries:
     """The Frobenius: sigma on coefficients, pi -> (1+pi)^p - 1.
 
@@ -216,8 +223,8 @@ def phi_series(s: APlusSeries) -> APlusSeries:
     ctx = s.ctx
     if ctx.f == 1:
         ker = get_kernel(ctx.p, ctx.N, s.order)
-        table = ker.power_table(("phi",), lambda: _subst_coeffs(ctx, ctx.p, s.order))
-        return APlusSeries(ctx, s.order, ker.unpack(ker.combo(s.raw(), table)))
+        return APlusSeries(ctx, s.order,
+                           ker.unpack(ker.combo(s.raw(), phi_table(ctx, s.order))))
     g = APlusSeries(ctx, s.order, _subst_coeffs(ctx, ctx.p, s.order))
     twisted = APlusSeries(ctx, s.order, [frobenius(c) for c in s.coeffs])
     return substitute(twisted, g)

@@ -18,19 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .errors import (
-    CongruenceFailure,
-    Degenerate,
-    ExactDivisionFailure,
-    NonConvergence,
-    NotAUnit,
-    NotExact,
-    NotIntegral,
-    ParseError,
-    PrecisionLoss,
-    ValidationError,
-    WachlabError,
-)
+from .errors import Degenerate, ParseError, PrecisionLoss, ValidationError
 from .padic import OFMatrix, PrecisionContext
 from .filmod import (
     FilPhiModule,
@@ -165,7 +153,7 @@ def parse_job(text: str) -> JobDocument:
         modules=modules, commands=commands)
     if job.f != 1:
         raise ValidationError("the batch runner supports f = 1 only")
-    _validate(job)
+    validate_job(job)
     for cmd, mod in commands:
         if mod is not None and mod not in modules:
             raise ParseError(f"command references unknown module '{mod}'",
@@ -181,8 +169,9 @@ def _expect_int(parts, i, lineno):
                          line=lineno) from None
 
 
-def _validate(job: JobDocument):
-    """Window, shape, and invertibility checks; raises ValidationError."""
+def validate_job(job: JobDocument):
+    """Window, shape, and invertibility checks; raises ValidationError.
+    Run again after changing a parsed job's settings."""
     if job.N < 1:
         raise ValidationError("precision N must be >= 1")
     if job.M is not None and job.M <= job.p - 1:
@@ -216,12 +205,7 @@ def build_module(job: JobDocument, spec: ModuleSpec) -> FilPhiModule:
 # running
 # ---------------------------------------------------------------------------
 
-_ERROR_TYPES = (Degenerate, NonConvergence, PrecisionLoss, CongruenceFailure,
-                NotAUnit, NotExact, NotIntegral, ExactDivisionFailure,
-                ValidationError)
-
-
-def _error_entry(exc: WachlabError) -> dict:
+def _error_entry(exc: Exception) -> dict:
     return {"type": type(exc).__name__, "reason": str(exc)}
 
 
@@ -256,7 +240,7 @@ def run_job(job: JobDocument) -> str:
         try:
             entry["data"] = _run_command(job, cmd, mods.get(mod), wach_cache, mod)
             entry["ok"] = True
-        except _ERROR_TYPES as exc:
+        except Exception as exc:  # any failure is this command's entry, not the job's
             entry["ok"] = False
             entry["error"] = _error_entry(exc)
             report["ok"] = False

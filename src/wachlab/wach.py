@@ -7,7 +7,7 @@ operator has no unit-root part (or no top-slope part), this module builds
 
 congruent to Diag(p^{r_i}) A mod pi^{p-1}, and solves
 
-    H - q^{p-1} gamma(P^{-1}) phi(H) P = Q an    with    gamma(P^{-1}) P = Id + pi^{p-1} Q
+    H - q^{p-1} gamma(P^{-1}) phi(H) P = Q    with    gamma(P^{-1}) P = Id + pi^{p-1} Q
 
 by the fixed-point iteration H <- Q + L(H), monitored by the combined
 (p, pi)-valuation of successive differences.  The group action on the new
@@ -21,6 +21,21 @@ every stored series goes through exact factorizations:
     pi_c = ((1+pi)^c - 1)/pi,  q mu = p + pi^{p-1} mu,
 
 with S and pi_c integral of unit constant term c.
+
+For f = 1 everything between the ingredients and the returned matrices
+stays in the packed kernel (`_kernel.py`).  The solver step uses the shape
+of the iteration matrices, C = A^{-1} Diag(z_{r_i}) with
+z_r = q^{p-1-r} rho^r and P = Diag((q mu)^{r_i}) A, over the commutative
+ring (Z/p^N)[pi]/(pi^mh):
+
+    L(H) = C phi(H) P = A^{-1} (W o phi(H)) A,   W_kl = z_{r_k} (q mu)^{r_l},
+
+with o the entrywise product: d^2 series products per iteration, the two
+scalar matrices applied as one multiply-add and one normalize per entry.
+Q is built once per `gamma_matrix` from the tau^r columns, and the residual
+gamma(P) G - phi(G) P and the q-cokernel product are formed on packed
+values; `APlusSeries` objects are made only for the returned P, Q, H, G.
+For f > 1 the same steps run on `APlusSeries` matrices.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ from .aplus import (
     invert_series,
     mu_series,
     phi_series,
+    phi_table,
     q_mu_series,
     q_series,
     shift_pi,
@@ -97,6 +113,39 @@ def mat_combined_valuation(A, weight):
     return best
 
 
+# -- the same on coefficient lists (f = 1) -----------------------------------
+
+def _ints(M: OFMatrix):
+    return [[e.coeffs[0] for e in row] for row in M.entries]
+
+def _raw(mat):
+    return [[s.raw() for s in row] for row in mat]
+
+def _series(ctx, order, mat):
+    return [[APlusSeries(ctx, order, e) for e in row] for row in mat]
+
+def _difference_valuation(pairs, p, pN, weight):
+    """min over coefficient-list pairs (a, b) and indices i of
+    i + weight * v_p(a_i - b_i); None when every pair is equal mod p^N."""
+    best = None
+    for a, b in pairs:
+        if a == b:
+            continue
+        for i, (x, y) in enumerate(zip(a, b)):
+            if best is not None and i >= best:
+                break
+            diff = (x - y) % pN
+            if diff:
+                v = 0
+                while diff % p == 0:
+                    diff //= p
+                    v += 1
+                w = i + weight * v
+                if best is None or w < best:
+                    best = w
+    return best
+
+
 # ---------------------------------------------------------------------------
 # the structured ingredients
 # ---------------------------------------------------------------------------
@@ -139,6 +188,26 @@ class _Ingredients:
         self.qmu_powers = _powers(self.qmu, p)
         self.nu_powers = _powers(self.qmu_gamma, p)
         self.muinv_powers = _powers(self.mu_inv, p)
+        self._packed: dict = {}
+
+    def packed(self, name: str, r: int, n: int) -> int:
+        """self.<name>_powers[r] truncated to pi^n, packed (f = 1); cached."""
+        key = (name, r, n)
+        v = self._packed.get(key)
+        if v is None:
+            ker = get_kernel(self.ctx.p, self.ctx.N, n)
+            v = self._packed[key] = ker.pack(getattr(self, name + "_powers")[r].raw()[:n])
+        return v
+
+    def packed_product(self, a, b, n: int) -> int:
+        """Cached packed product of two `packed` factors, each an
+        (name, r) pair, modulo pi^n (f = 1)."""
+        key = (a, b, n)
+        v = self._packed.get(key)
+        if v is None:
+            ker = get_kernel(self.ctx.p, self.ctx.N, n)
+            v = self._packed[key] = ker.mul_n(self.packed(*a, n), self.packed(*b, n))
+        return v
 
 
 def _powers(s, p):
@@ -169,8 +238,12 @@ def build_P(D: FilPhiModule, order: int | None = None):
     mod pi^{p-1} because (q mu)^s = p^s there."""
     ctx = D.ctx
     order = order or default_order(ctx)
-    qmu_pows = _powers(q_mu_series(ctx, order), ctx.p)
-    return [[qmu_pows[D.jumps[i]] * D.A.entries[i][j] for j in range(D.d)]
+    return _assemble_P(D, _powers(q_mu_series(ctx, order), ctx.p))
+
+
+def _assemble_P(D: FilPhiModule, qmu_powers):
+    A = D.A.entries
+    return [[qmu_powers[D.jumps[i]] * A[i][j] for j in range(D.d)]
             for i in range(D.d)]
 
 
@@ -180,13 +253,14 @@ def compute_Q(D: FilPhiModule, c: int, order: int | None = None):
     gamma(P^{-1})P = A^{-1} Diag(tau^{r_i}) A with tau = q mu / gamma(q mu);
     the congruence tau^r = 1 mod pi^{p-1} is verified first and its failure
     raises CongruenceFailure (it is a theorem, so failure means a bug or a
-    precision shortfall).
+    precision shortfall).  Q is known to order - (p-1).
     """
     ctx = D.ctx
     order = order or default_order(ctx)
-    ing = _ingredients(ctx, order, c)
     p = ctx.p
-    diag = []
+    if order <= p - 1:
+        raise ValueError(f"order must exceed p-1 = {p - 1}")
+    ing = _ingredients(ctx, order, c)
     for r in sorted(set(D.jumps)):
         t = ing.tau_powers[r]
         for i in range(1, p - 1):
@@ -195,11 +269,22 @@ def compute_Q(D: FilPhiModule, c: int, order: int | None = None):
                     f"gamma(P^-1)P != Id mod pi^{p - 1} at jump {r}")
         if not (t.coeffs[0] - OFElement(ctx, 1)).is_zero():
             raise CongruenceFailure("gamma(P^-1)P has wrong constant term")
+    ainv = D.A.inverse()
+    d = D.d
+    if ctx.f == 1:
+        # Q_ij = sum over distinct jumps r of s_ij^r (tau^r - 1)/pi^{p-1},
+        # s_ij^r = sum_{k: r_k = r} (A^{-1})_ik A_kj
+        mh = order - (p - 1)
+        ker = get_kernel(p, ctx.N, mh)
+        rs = sorted(set(D.jumps))
+        cols = [ker.pack(ing.tau_powers[r].raw()[p - 1:]) for r in rs]
+        a, b, pN = _ints(ainv), _ints(D.A), ctx.pN
+        return _series(ctx, mh, [[ker.unpack(ker.dot(
+            [sum(a[i][k] * b[k][j] for k in range(d) if D.jumps[k] == r) % pN
+             for r in rs], cols)) for j in range(d)] for i in range(d)])
     one = APlusSeries.one(ctx, order)
     wdiag = {r: exact_div_pi(ing.tau_powers[r] - one, p - 1)
              for r in set(D.jumps)}
-    ainv = D.A.inverse()
-    d = D.d
     out = []
     for i in range(d):
         row = []
@@ -214,31 +299,41 @@ def compute_Q(D: FilPhiModule, c: int, order: int | None = None):
     return out
 
 
-def _iteration_data(D: FilPhiModule, c: int, order: int):
-    """P, the iteration matrix C = q^{p-1} gamma(P^{-1}) = A^{-1} Diag(z_r),
-    and Q, all integral by the factorization z_r = q^{p-1-r} rho^r.
+class _Monitor:
+    """Convergence bookkeeping of the fixed-point iteration: the iteration
+    cap, and the stall window on the combined valuation of successive
+    differences."""
 
-    Q lives at order - (p-1) (it is an exact pi^{p-1}-quotient), and the
-    H-equation is solved there; P and C are truncated to match."""
-    ctx = D.ctx
-    ing = _ingredients(ctx, order, c)
-    p = ctx.p
-    mh = order - (p - 1)
-    if mh < 1:
-        raise ValueError(f"order must exceed p-1 = {p - 1}")
-    ainv = D.A.inverse()
-    z = {r: (ing.q_powers[p - 1 - r] * ing.rho_powers[r]).truncate(mh)
-         for r in set(D.jumps)}
-    d = D.d
-    C = [[ainv.entries[i][j] * z[D.jumps[j]] for j in range(d)] for i in range(d)]
-    P = [[(ing.qmu_powers[D.jumps[i]]).truncate(mh) * D.A.entries[i][j]
-          for j in range(d)] for i in range(d)]
-    Q = compute_Q(D, c, order)
-    return P, C, Q, mh
+    def __init__(self, ctx, d, order):
+        self.window = max(d * ctx.f * ctx.N, 4)
+        self.cap = self.window * ((ctx.p - 1) * ctx.N + order + 2)
+        self.iterations = 0
+        self.best = -1
+        self.stale = 0
+
+    def start(self):
+        self.iterations += 1
+        if self.iterations > self.cap:
+            raise NonConvergence("iteration cap exceeded", reason="cap")
+
+    def converged(self, w) -> bool:
+        """Record the valuation w of the last difference (None: zero)."""
+        if w is None:
+            return True
+        if w > self.best:
+            self.best = w
+            self.stale = 0
+        else:
+            self.stale += 1
+            if self.stale >= self.window:
+                raise NonConvergence(
+                    f"residual valuation stalled at {self.best} for "
+                    f"{self.window} iterations (slope hypothesis violated?)")
+        return False
 
 
 def solve_H(D: FilPhiModule, c: int, order: int | None = None,
-            initial=None):
+            initial=None, Q=None):
     """Solve H - q^{p-1} gamma(P^{-1}) phi(H) P = Q by fixed-point iteration.
 
     Convergence holds when the operator has no unit-root part, or no part of
@@ -247,103 +342,81 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
     differences fails to improve across a window of d*f*N iterations.
 
     `initial` overrides the starting matrix (used by the uniqueness tests);
-    the fixed point does not depend on it.
+    the fixed point does not depend on it.  `Q` passes compute_Q(D, c,
+    order) when the caller already has it.
 
     Returns (H, iterations).
     """
     ctx = D.ctx
     order = order or default_order(ctx)
-    P, C, Q, mh = _iteration_data(D, c, order)
-    d = D.d
-    window = max(d * ctx.f * ctx.N, 4)
-    weight = ctx.p - 1
-    cap = window * ((ctx.p - 1) * ctx.N + order + 2)
+    if Q is None:
+        Q = compute_Q(D, c, order)
+    monitor = _Monitor(ctx, D.d, order)
     if ctx.f == 1:
-        ker = get_kernel(ctx.p, ctx.N, mh)
-        table = ker.power_table(("phi",), lambda: [0] + q_series(ctx, mh).raw()[:mh - 1])
-        Cp = [[ker.pack(e.raw()) for e in row] for row in C]
-        Pp = [[ker.pack(e.raw()) for e in row] for row in P]
-        Qraw = [[e.raw() for e in row] for row in Q]
-        if initial is None:
-            H = Qraw
-        else:
-            H = [[(e.raw() + [0] * mh)[:mh] for e in row] for row in initial]
-        pN = ctx.pN
-        best = -1
-        stale = 0
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > cap:
-                raise NonConvergence("iteration cap exceeded", reason="cap")
-            phiH = [[ker.combo(H[i][j], table) for j in range(d)] for i in range(d)]
-            T = ker.mat_mul(Cp, phiH, d)
-            L = ker.mat_mul(T, Pp, d)
-            Hnew = []
-            delta_w = None
-            for i in range(d):
-                row = []
-                for j in range(d):
-                    lij = ker.unpack(L[i][j])
-                    qij = Qraw[i][j]
-                    new = [(a + b) % pN for a, b in zip(qij, lij)]
-                    row.append(new)
-                    old = H[i][j]
-                    for idx in range(mh):
-                        if delta_w is not None and idx >= delta_w:
-                            break
-                        diff = new[idx] - old[idx]
-                        if diff % pN:
-                            v = 0
-                            diff %= pN
-                            while diff % ctx.p == 0:
-                                diff //= ctx.p
-                                v += 1
-                            w = idx + weight * v
-                            if delta_w is None or w < delta_w:
-                                delta_w = w
-                Hnew.append(row)
-            if delta_w is None:
-                H = Hnew
-                break
-            if delta_w > best:
-                best = delta_w
-                stale = 0
-            else:
-                stale += 1
-                if stale >= window:
-                    raise NonConvergence(
-                        f"residual valuation stalled at {best} for {window} "
-                        f"iterations (slope hypothesis violated?)")
-            H = Hnew
-        Hmat = [[APlusSeries(ctx, mh, H[i][j]) for j in range(d)] for i in range(d)]
-        return Hmat, iterations
-    # generic (f > 1) path: same loop over APlusSeries matrices
+        return _solve_packed(D, c, order, Q, initial, monitor)
+    P, C = _iteration_matrices(D, c, order)
     H = Q if initial is None else initial
-    best = -1
-    stale = 0
-    iterations = 0
     while True:
-        iterations += 1
-        if iterations > cap:
-            raise NonConvergence("iteration cap exceeded", reason="cap")
+        monitor.start()
         phiH = mat_map(H, phi_series)
         Hnew = [[_dot(row, col) for col in zip(*P)] for row in mat_mul(C, phiH)]
         Hnew = [[q + l for q, l in zip(qrow, lrow)] for qrow, lrow in zip(Q, Hnew)]
         diff = mat_sub(Hnew, H)
         H = Hnew
-        w = mat_combined_valuation(diff, weight)
-        if w is None:
-            break
-        if w > best:
-            best = w
-            stale = 0
-        else:
-            stale += 1
-            if stale >= window:
-                raise NonConvergence(
-                    f"residual valuation stalled at {best} for {window} iterations")
-    return H, iterations
+        if monitor.converged(mat_combined_valuation(diff, ctx.p - 1)):
+            return H, monitor.iterations
+
+
+def _iteration_matrices(D: FilPhiModule, c: int, order: int):
+    """P and the iteration matrix C = q^{p-1} gamma(P^{-1}) = A^{-1} Diag(z_r),
+    integral by the factorization z_r = q^{p-1-r} rho^r, truncated to the
+    order of Q."""
+    ctx = D.ctx
+    ing = _ingredients(ctx, order, c)
+    p = ctx.p
+    mh = order - (p - 1)
+    ainv = D.A.inverse()
+    z = {r: (ing.q_powers[p - 1 - r] * ing.rho_powers[r]).truncate(mh)
+         for r in set(D.jumps)}
+    d = D.d
+    C = [[ainv.entries[i][j] * z[D.jumps[j]] for j in range(d)] for i in range(d)]
+    P = [[(ing.qmu_powers[D.jumps[i]]).truncate(mh) * D.A.entries[i][j]
+          for j in range(d)] for i in range(d)]
+    return P, C
+
+
+def _solve_packed(D, c, order, Q, initial, monitor):
+    """The f = 1 iteration H <- Q + A^{-1} (W o phi(H)) A on packed values."""
+    ctx = D.ctx
+    p, pN, d, jumps = ctx.p, ctx.pN, D.d, D.jumps
+    mh = order - (p - 1)
+    ker = get_kernel(p, ctx.N, mh)
+    table = phi_table(ctx, mh)
+    ing = _ingredients(ctx, order, c)
+    z = {r: ing.packed_product(("q", p - 1 - r), ("rho", r), mh) for r in set(jumps)}
+    W = [ker.mul_n(z[jumps[k]], ing.packed("qmu", jumps[l], mh))
+         for k in range(d) for l in range(d)]
+    # L_ij = sum_{k,l} (A^{-1})_ik A_lj X_kl, X = W o phi(H), flattened over (k, l)
+    a, b = _ints(D.A.inverse()), _ints(D.A)
+    mix = [[[a[i][k] * b[l][j] % pN for k in range(d) for l in range(d)]
+            for j in range(d)] for i in range(d)]
+    Qp = [[ker.pack(s.raw()) for s in row] for row in Q]
+    if initial is None:
+        H = _raw(Q)
+    else:
+        H = [[(e.raw() + [0] * mh)[:mh] for e in row] for row in initial]
+    while True:
+        monitor.start()
+        X = [ker.mul_n(w, ker.combo(h, table))
+             for w, h in zip(W, (h for row in H for h in row))]
+        Hnew = [[ker.unpack(ker.dot(mix[i][j], X, Qp[i][j])) for j in range(d)]
+                for i in range(d)]
+        w = _difference_valuation(
+            ((new, old) for nrow, orow in zip(Hnew, H) for new, old in zip(nrow, orow)),
+            p, pN, p - 1)
+        H = Hnew
+        if monitor.converged(w):
+            return _series(ctx, mh, H), monitor.iterations
 
 
 class WachData:
@@ -374,22 +447,48 @@ def gamma_matrix(D: FilPhiModule, c: int, order: int | None = None,
     order = order or default_order(ctx)
     ing = _ingredients(ctx, order, c)
     d = D.d
-    P = [[ing.qmu_powers[D.jumps[i]] * D.A.entries[i][j] for j in range(d)]
-         for i in range(d)]
+    P = _assemble_P(D, ing.qmu_powers)
     Q = compute_Q(D, c, order)
-    H, iterations = solve_H(D, c, order, initial=initial)
+    H, iterations = solve_H(D, c, order, initial=initial, Q=Q)
     # G = Id + pi^{p-1} H is known one pi^{p-1}-step beyond H's order
-    ident = mat_identity(ctx, d, order)
-    G = [[g + shift_pi(h, ctx.p - 1) for g, h in zip(grow, hrow)]
-         for grow, hrow in zip(ident, H)]
+    if ctx.f == 1:
+        pad = [0] * (ctx.p - 2)
+        G = _series(ctx, order, [[[int(i == j)] + pad + H[i][j].raw()
+                                  for j in range(d)] for i in range(d)])
+    else:
+        ident = mat_identity(ctx, d, order)
+        G = [[g + shift_pi(h, ctx.p - 1) for g, h in zip(grow, hrow)]
+             for grow, hrow in zip(ident, H)]
+    rv = relation_valuation(D, c, P, G, order)
+    return WachData(D, c, P, Q, H, G, rv, rv is None, iterations, order)
+
+
+def relation_valuation(D: FilPhiModule, c: int, P, G, order: int):
+    """Combined (p, pi)-valuation of gamma(P) G - phi(G) P at truncation
+    pi^order, None when it vanishes.  P must be build_P(D, order); gamma(P)
+    is substituted directly as Diag(gamma(q mu)^{r_i}) A, and phi(G) with the
+    Frobenius power table."""
+    ctx = D.ctx
+    p, d = ctx.p, D.d
+    ing = _ingredients(ctx, order, c)
+    if ctx.f == 1:
+        ker = get_kernel(p, ctx.N, order)
+        A = _ints(D.A)
+        gammaP = [[ker.normalize(ing.packed("nu", D.jumps[i], order) * A[i][j])
+                   for j in range(d)] for i in range(d)]
+        Gc = _raw(G)
+        table = phi_table(ctx, order)
+        lhs = ker.mat_mul(gammaP, [[ker.pack(g) for g in row] for row in Gc], d)
+        rhs = ker.mat_mul([[ker.combo(g, table) for g in row] for row in Gc],
+                          [[ker.pack(s.raw()) for s in row] for row in P], d)
+        return _difference_valuation(
+            ((ker.unpack(x), ker.unpack(y))
+             for xrow, yrow in zip(lhs, rhs) for x, y in zip(xrow, yrow) if x != y),
+            p, ctx.pN, p - 1)
     gammaP = [[ing.nu_powers[D.jumps[i]] * D.A.entries[i][j] for j in range(d)]
               for i in range(d)]
-    lhs = mat_mul(gammaP, G)
-    rhs = mat_mul(mat_map(G, phi_series), P)
-    residual = mat_sub(lhs, rhs)
-    zero = mat_is_zero(residual)
-    rv = mat_combined_valuation(residual, ctx.p - 1)
-    return WachData(D, c, P, Q, H, G, rv, zero, iterations, order)
+    residual = mat_sub(mat_mul(gammaP, G), mat_mul(mat_map(G, phi_series), P))
+    return mat_combined_valuation(residual, p - 1)
 
 
 def check_cocycle(D: FilPhiModule, c1: int, c2: int,
@@ -416,6 +515,19 @@ def check_q_cokernel(W: WachData) -> bool:
     r_top = D.jumps[-1]
     ainv = D.A.inverse()
     d = D.d
+    if ctx.f == 1:
+        # (cand P)_ij = sum_k (A^{-1})_ik (q^{r_top - r_k} mu^{-r_k} P_kj)
+        ker = get_kernel(ctx.p, ctx.N, order)
+        Y = [[ker.mul_n(ing.packed_product(("q", r_top - D.jumps[k]),
+                                           ("muinv", D.jumps[k]), order),
+                        ker.pack(W.P[k][j].raw()))
+              for j in range(d)] for k in range(d)]
+        a = _ints(ainv)
+        top = ing.packed("q", r_top, order)
+        return all(
+            ker.normalize(ker.dot(a[i], [Y[k][j] for k in range(d)]))
+            == (top if i == j else 0)
+            for i in range(d) for j in range(d))
     cand = [[ainv.entries[i][j] * (ing.q_powers[r_top - D.jumps[j]]
                                    * ing.muinv_powers[D.jumps[j]])
              for j in range(d)] for i in range(d)]

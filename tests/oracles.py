@@ -2,11 +2,18 @@
 
 Everything here deliberately avoids the library's own code paths: integer
 determinants by permutation expansion, rational kernel bases by hand-rolled
-elimination, lattice equality through unit minors.
+elimination, lattice equality through unit minors.  The lattice oracle at
+the end solves for H, the residual and the q-cokernel product with
+`APlusSeries` matrices: only the series ring and the shared ingredients
+are the library's, none of the packed f = 1 pipeline of `wach.py`.
 """
 
 import itertools
 from fractions import Fraction
+
+from wachlab.aplus import APlusSeries, exact_div_pi, phi_series, shift_pi
+from wachlab.errors import NonConvergence
+from wachlab.wach import _ingredients
 
 
 def int_det(m):
@@ -171,3 +178,109 @@ def invert_rational(A):
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return [row[n:] for row in a]
+
+
+# ---------------------------------------------------------------------------
+# lattice construction on APlusSeries matrices
+# ---------------------------------------------------------------------------
+
+def _smat_mul(A, B):
+    out = []
+    for row in A:
+        out_row = []
+        for col in zip(*B):
+            acc = row[0] * col[0]
+            for a, b in zip(row[1:], col[1:]):
+                acc = acc + a * b
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _smat_sub(A, B):
+    return [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(A, B)]
+
+
+def _smat_valuation(A, weight):
+    """min of i + weight * v_p(c_i) over entries and coefficients; None if 0."""
+    best = None
+    for row in A:
+        for s in row:
+            for i, c in enumerate(s.coeffs):
+                v = c.valuation()
+                if v is not None and (best is None or i + weight * v < best):
+                    best = i + weight * v
+    return best
+
+
+def lattice_oracle(D, c, order, initial=None):
+    """(P, Q, H, G, residual valuation, iterations) for gamma_matrix(D, c,
+    order): P = Diag((q mu)^{r_i}) A, Q from A^{-1} Diag(tau^{r_i}) A, the
+    iteration H <- Q + C phi(H) P with C = A^{-1} Diag(q^{p-1-r} rho^r) and
+    two full matrix products per step, and gamma(P) G - phi(G) P formed
+    entry by entry."""
+    ctx = D.ctx
+    p, d, A = ctx.p, D.d, D.A.entries
+    ing = _ingredients(ctx, order, c)
+    ainv = D.A.inverse().entries
+    mh = order - (p - 1)
+    P = [[ing.qmu_powers[D.jumps[i]] * A[i][j] for j in range(d)] for i in range(d)]
+    one = APlusSeries.one(ctx, order)
+    w = {r: exact_div_pi(ing.tau_powers[r] - one, p - 1) for r in set(D.jumps)}
+    Q = [[_sum_series([w[D.jumps[k]] * (ainv[i][k] * A[k][j]) for k in range(d)])
+          for j in range(d)] for i in range(d)]
+    z = {r: (ing.q_powers[p - 1 - r] * ing.rho_powers[r]).truncate(mh)
+         for r in set(D.jumps)}
+    C = [[ainv[i][j] * z[D.jumps[j]] for j in range(d)] for i in range(d)]
+    Ph = [[e.truncate(mh) for e in row] for row in P]
+    window = max(d * ctx.f * ctx.N, 4)
+    H = Q if initial is None else initial
+    best, stale, iterations = -1, 0, 0
+    while True:
+        iterations += 1
+        L = _smat_mul(_smat_mul(C, [[phi_series(h) for h in row] for row in H]), Ph)
+        Hnew = [[q + l for q, l in zip(qrow, lrow)] for qrow, lrow in zip(Q, L)]
+        delta = _smat_valuation(_smat_sub(Hnew, H), p - 1)
+        H = Hnew
+        if delta is None:
+            break
+        if delta > best:
+            best, stale = delta, 0
+        else:
+            stale += 1
+            if stale >= window:
+                raise NonConvergence("oracle iteration stalled")
+    G = [[(one if i == j else APlusSeries.zero(ctx, order)) + shift_pi(H[i][j], p - 1)
+          for j in range(d)] for i in range(d)]
+    return P, Q, H, G, residual_oracle(D, c, P, G, order), iterations
+
+
+def _sum_series(terms):
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc
+
+
+def residual_oracle(D, c, P, G, order):
+    """Combined valuation of gamma(P) G - phi(G) P, gamma(P) taken as
+    Diag(gamma(q mu)^{r_i}) A; None when it vanishes."""
+    ing = _ingredients(D.ctx, order, c)
+    gP = [[ing.nu_powers[D.jumps[i]] * D.A.entries[i][j] for j in range(D.d)]
+          for i in range(D.d)]
+    residual = _smat_sub(_smat_mul(gP, G),
+                         _smat_mul([[phi_series(g) for g in row] for row in G], P))
+    return _smat_valuation(residual, D.ctx.p - 1)
+
+
+def q_cokernel_oracle(D, c, P, order):
+    """A^{-1} Diag(q^{r_d - r_i} mu^{-r_i}) P == q^{r_d} Id at truncation."""
+    ing = _ingredients(D.ctx, order, c)
+    ainv = D.A.inverse().entries
+    r_top, d = D.jumps[-1], D.d
+    cand = [[ainv[i][j] * (ing.q_powers[r_top - D.jumps[j]]
+                           * ing.muinv_powers[D.jumps[j]])
+             for j in range(d)] for i in range(d)]
+    prod = _smat_mul(cand, P)
+    return all((prod[i][j] - ing.q_powers[r_top] if i == j else prod[i][j])
+               .pi_valuation() is None for i in range(d) for j in range(d))

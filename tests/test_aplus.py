@@ -9,6 +9,7 @@ import random
 import pytest
 
 from wachlab import ExactDivisionFailure, NotAUnit, OFElement, PrecisionContext
+from wachlab._kernel import SeriesKernel
 from wachlab.aplus import (
     APlusSeries,
     binomial_exact,
@@ -84,6 +85,24 @@ class TestMulKernel:
         b = series(ctx, 6, 2)
         assert (a * b).order == 6
         assert (a + b).order == 6
+
+    def test_headroom_bound(self):
+        for p, N, M in [(3, 1, 1), (3, 20, 80), (5, 20, 156), (7, 20, 240)]:
+            ker = SeriesKernel(p, N, M)
+            worst = (ker.pN - 1) ** 2
+            assert ker.max_terms * worst < 1 << ker.lbits
+            assert (ker.max_terms + 1) * worst >= 1 << ker.lbits
+            assert ker.max_terms >= 2 ** ker.HEADROOM_BITS * M
+
+    def test_headroom_guard(self):
+        ker = SeriesKernel(3, 1, 1)  # 16-bit limbs holding values up to 2
+        top = ker.pack([2])
+        n = ker.max_terms - 1  # the accumulator takes the last term
+        assert ker.unpack(ker.dot([2] * n, [top] * n, top)) == [(4 * n + 2) % 3]
+        with pytest.raises(OverflowError):
+            ker.dot([2] * (n + 1), [top] * (n + 1), top)
+        with pytest.raises(OverflowError):
+            ker.mat_mul(None, None, ker.max_terms // ker.M + 1)
 
 
 class TestPhi:

@@ -159,6 +159,25 @@ command tam triv
         assert entry["ok"] is False
         assert entry["error"]["type"] == "Degenerate"
 
+    def test_rank_nine_slopes_error_keeps_check(self):
+        # slopes stops at rank 8 with a ValueError; it must stay the slopes
+        # command's entry and leave the check result in the report
+        rows = ["row " + " ".join(str(int(i == j) + (j > i) * (i + 2 * j) % 11)
+                                  for j in range(9)) for i in range(9)]
+        rows[8] = "row 1 0 0 0 0 0 0 0 1"
+        doc = ("p 11\nN 6\n\nmodule big\nrank 9\njumps 0 0 0 1 1 1 2 2 2\n"
+               + "\n".join(rows) + "\nendmodule\n\ncommand check big\n"
+               "command slopes big\n")
+        report = json.loads(run_job(parse_job(doc)))
+        check, slopes = report["results"]
+        assert check["ok"] is True
+        assert check["data"]["strongly_divisible"] is True
+        assert check["data"]["unit_root_rank"] == 3
+        assert slopes["ok"] is False
+        assert slopes["error"] == {"type": "ValueError",
+                                   "reason": "permutation expansion limited to d <= 8"}
+        assert report["ok"] is False
+
     def test_byte_determinism(self):
         job1 = parse_job(RANK2)
         job2 = parse_job(RANK2)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import lattice_oracle, q_cokernel_oracle, residual_oracle
 from wachlab import NonConvergence, OFElement, OFMatrix, PrecisionContext
 from wachlab.aplus import (
     APlusSeries,
@@ -15,6 +16,7 @@ from wachlab.aplus import (
     q_mu_series,
     q_series,
 )
+from wachlab import wach
 from wachlab.filmod import FilPhiModule, top_slope_absent, unit_root_rank
 from wachlab.wach import (
     WachData,
@@ -23,10 +25,12 @@ from wachlab.wach import (
     check_cocycle,
     check_q_cokernel,
     compute_Q,
+    default_order,
     gamma_matrix,
     mat_is_zero,
     mat_mul,
     mat_sub,
+    relation_valuation,
     solve_H,
     ti_scalar,
 )
@@ -289,3 +293,84 @@ class TestTi:
                 for b in range(2):
                     c0 = X[a][b].constant_term()
                     assert c0 == (scal if a == b else OFElement(D.ctx, 0))
+
+
+def raw_matrix(M):
+    return [[s.raw() for s in row] for row in M]
+
+
+def bumped(M, i, j, k, delta=1):
+    """Copy of the series matrix M with coefficient k of entry (i, j) moved by delta."""
+    out = [list(row) for row in M]
+    s = out[i][j]
+    coeffs = s.raw()
+    coeffs[k] += delta
+    out[i][j] = APlusSeries(s.ctx, s.order, coeffs)
+    return out
+
+
+class TestPackedAgainstOracle:
+    """The f = 1 pipeline against the APlusSeries-matrix oracle: P, Q, H, G
+    bit-identical, the same residual, iteration count and q-cokernel
+    verdict, over random eligible modules of both eligibility routes."""
+
+    CASES = [(p, N, d, want)
+             for p, N in ((3, 4), (3, 12), (5, 6), (7, 4), (7, 20))
+             for d, want in ((1, "unit_root"), (3, "unit_root"), (2, "top"))]
+
+    @pytest.mark.parametrize("p,N,d,want", CASES)
+    def test_matches_oracle(self, p, N, d, want):
+        ctx = PrecisionContext(p, N)
+        D = eligible_random(ctx, d, random.Random(f"{p}/{N}/{d}/{want}"), want)
+        c, order = 1 + p, default_order(ctx)
+        W = gamma_matrix(D, c)
+        P, Q, H, G, rv, iterations = lattice_oracle(D, c, order)
+        for mine, ref in ((W.P, P), (W.Q, Q), (W.H, H), (W.G, G)):
+            assert raw_matrix(mine) == raw_matrix(ref)
+        assert W.residual_valuation == rv
+        assert W.residual_zero is (rv is None)
+        assert W.iterations == iterations
+        assert check_q_cokernel(W) is q_cokernel_oracle(D, c, P, order)
+
+    def test_initial_matrix_matches_oracle(self):
+        ctx = PrecisionContext(5, 6)
+        rng = random.Random(14)
+        D = eligible_random(ctx, 2, rng)
+        order = default_order(ctx)
+        seed = [[APlusSeries(ctx, order - 4, [rng.randrange(ctx.pN) for _ in range(order - 4)])
+                 for _ in range(2)] for _ in range(2)]
+        H, iterations = solve_H(D, 6, order, initial=seed)
+        _, _, Href, _, _, it_ref = lattice_oracle(D, 6, order, initial=seed)
+        assert raw_matrix(H) == raw_matrix(Href) and iterations == it_ref
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_perturbed_G_breaks_relation(self, p, monkeypatch):
+        ctx = PrecisionContext(p, 6)
+        D = eligible_random(ctx, 2, random.Random(15 + p))
+        W = gamma_matrix(D, 1 + p)
+        assert W.residual_zero
+        G = bumped(W.G, 0, 0, 0)  # below pi^{p-1}, where G is fixed to Id
+        rv = relation_valuation(D, W.c, W.P, G, W.order)
+        assert rv is not None and rv == residual_oracle(D, W.c, W.P, G, W.order)
+        # through gamma_matrix: a wrong H from the solver moves G at pi^{k+p-1}
+        true_solve = wach.solve_H
+        for i, j, k in ((0, 1, 0), (1, 0, 2 * p), (1, 1, W.order - p)):
+            monkeypatch.setattr(wach, "solve_H", lambda *a, **kw: (
+                bumped(true_solve(*a, **kw)[0], i, j, k, p ** (k % 3)), 0))
+            bad = gamma_matrix(D, 1 + p)
+            assert bad.residual_zero is False
+            assert bad.residual_valuation == residual_oracle(D, W.c, W.P, bad.G, W.order)
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_perturbed_P_breaks_q_cokernel(self, p):
+        ctx = PrecisionContext(p, 6)
+        D = eligible_random(ctx, 3, random.Random(16 + p))
+        W = gamma_matrix(D, 1 + p)
+        assert check_q_cokernel(W)
+        top = D.d - 1  # the row of the top jump, where the candidate is a unit
+        for j, k in ((0, 0), (top, 1), (1, W.order - 1)):
+            P = bumped(W.P, top, j, k)
+            broken = WachData(D, W.c, P, W.Q, W.H, W.G, W.residual_valuation,
+                              W.residual_zero, W.iterations, W.order)
+            assert check_q_cokernel(broken) is False
+            assert q_cokernel_oracle(D, W.c, P, W.order) is False
