@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import Degenerate, NotExact, PrecisionLoss
 from .filmod import FilPhiModule, dual_twist, hodge_invariants
-from .padic import OFElement, OFMatrix, smith_normal_form, vp_fraction, vp_int
+from .padic import OFMatrix, rational_reduce, smith_normal_form, vp_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -269,87 +269,36 @@ def tam_exponent(D: FilPhiModule) -> int:
     phi = D.phi_matrix()
     one_minus = OFMatrix.identity(ctx, D.d) - phi
     tors = 0
-    beta = None
+    snf = None
     if fil0:
-        beta = OFMatrix(ctx, [list(one_minus.entries[i]) for i in fil0])
-        snf = smith_normal_form(beta)
-        exps = list(snf.exponents)
-        if any(e is None for e in exps):
+        snf = smith_normal_form(OFMatrix(ctx, [list(one_minus.entries[i]) for i in fil0]))
+        if None in snf.exponents:
             raise Degenerate("(1-phi)|Fil^0 drops rank at precision",
                              reason="fil0-rank")
-        tors = sum(exps)
+        tors = sum(snf.exponents)
     if not quot:
         return tors
     # free-part comparison over exact rationals on canonical representatives
     if 2 * (v1 + 1) > ctx.N:
         raise PrecisionLoss("N too small to trust the free-part comparison")
-    W = _rational_inverse([[Fraction(e.coeffs[0]) for e in row]
-                           for row in one_minus.entries])
-    if beta is not None:
-        basis = _cokernel_free_basis(beta)
-    else:
-        basis = [[Fraction(1 if i == j else 0) for j in range(D.d)]
-                 for i in range(D.d)]
-    psi = []
-    for vec in basis:
-        img = [sum(vec[j] * W[j][i] for j in range(D.d)) for i in range(D.d)]
-        psi.append([-img[i] for i in quot])
-    det = _rational_det(psi)
+    d = D.d
+    if snf is None:
+        basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    else:  # free part of M / (1-phi)Fil^0 M: the trailing rows of V^{-1}
+        vinv = snf.V.inverse()
+        basis = [[e.coeffs[0] for e in vinv.entries[j]] for j in range(len(fil0), d)]
+    # psi is minus the quotient coordinates of X = basis (1 - Phi)^{-1},
+    # solved on the transpose: [(1 - Phi)^T | basis^T] reduces to [I | X^T]
+    rank, _, reduced = rational_reduce(
+        [[one_minus.entries[j][i].coeffs[0] for j in range(d)] + [vec[i] for vec in basis]
+         for i in range(d)], d)
+    if rank < d:
+        raise Degenerate("1 - phi is singular over the rationals", reason="singular")
+    psi = [[-reduced[i][d + k] for i in quot] for k in range(len(basis))]
+    _, det, _ = rational_reduce(psi, len(quot))
     if det == 0:
         raise Degenerate("free-part comparison is singular", reason="psi-singular")
     return tors + vp_fraction(det, p)
-
-
-def _cokernel_free_basis(beta: OFMatrix):
-    """Rational coordinates (rows) of a basis of the free part of the
-    quotient of the ambient lattice by the row span of beta: the trailing
-    rows of V^{-1} from the SNF of beta."""
-    snf = smith_normal_form(beta)
-    vinv = snf.V.inverse()
-    out = []
-    for j in range(beta.rows, beta.cols):
-        out.append([Fraction(e.coeffs[0]) for e in vinv.entries[j]])
-    return out
-
-
-def _rational_inverse(m):
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] +
-         [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise Degenerate("singular matrix in rational inverse", reason="singular")
-        a[c], a[piv] = a[piv], a[c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
-
-
-def _rational_det(m):
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        pv = a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from . import __version__
 from .errors import Degenerate, ParseError, PrecisionLoss, ValidationError
 from .padic import OFMatrix, PrecisionContext
 from .filmod import (
+    CategoryFlags,
     FilPhiModule,
-    category_membership,
     dual_twist,
     hodge_invariants,
     slopes,
@@ -36,6 +36,18 @@ from . import iwasawa as iw
 
 SCHEMA = "wachlab-report/1"
 KNOWN_COMMANDS = ("check", "slopes", "wach", "tam", "cep", "iwasawa-check")
+
+# Result fields that must be true for a command to be ok.  The cep verdict
+# is left out: the two exponent forms it compares agree only under both
+# slope conditions.
+VERDICTS = {
+    "check": ("strongly_divisible",),
+    "wach": ("residual_zero", "q_cokernel", "P_mod_pi_equals_phi",
+             "G_identity_mod_pi_pm1"),
+    "iwasawa-check": ("idempotents_ok", "twist_roundtrip_ok",
+                      "eval_homomorphism_ok", "unit_multiplicativity_ok",
+                      "twist_consistency_ok"),
+}
 
 
 @dataclass
@@ -234,31 +246,37 @@ def run_job(job: JobDocument) -> str:
             "hodge": {str(j): m for j, m in sorted(h.items())},
             "det_valuation": D.phi_matrix().det().valuation(),
         }
-    wach_cache: dict[str, object] = {}
+    cache: dict[tuple[str, str], object] = {}
     for cmd, mod in job.commands:
         entry = {"command": cmd, "module": mod}
         try:
-            entry["data"] = _run_command(job, cmd, mods.get(mod), wach_cache, mod)
-            entry["ok"] = True
+            data = entry["data"] = _run_command(job, cmd, mods.get(mod), cache, mod)
+            entry["ok"] = all(data[k] for k in VERDICTS.get(cmd, ()))
         except Exception as exc:  # any failure is this command's entry, not the job's
             entry["ok"] = False
             entry["error"] = _error_entry(exc)
-            report["ok"] = False
+        report["ok"] = report["ok"] and entry["ok"]
         report["results"].append(entry)
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _run_command(job, cmd, D, wach_cache, mod_name):
+def _run_command(job, cmd, D, cache, mod_name):
+    """One command's result data; `cache` holds each module's slope flags
+    and lattice data, so that they are computed once per job."""
     if cmd == "iwasawa-check":
         return _iwasawa_selfcheck(job)
+    if cmd in ("check", "wach"):
+        if ("flags", mod_name) not in cache:
+            cache["flags", mod_name] = unit_root_rank(D), top_slope_absent(D)
+        rank0, top_absent = cache["flags", mod_name]
     if cmd == "check":
-        flags = category_membership(D)
+        flags = CategoryFlags(rank0 == 0, top_absent)
         ok, adapted = strong_divisibility_check(D.to_raw())
         return {
             "strongly_divisible": ok,
             "recovered_jumps": list(adapted.jumps) if adapted else None,
-            "unit_root_rank": unit_root_rank(D),
-            "top_slope_absent": top_slope_absent(D),
+            "unit_root_rank": rank0,
+            "top_slope_absent": top_absent,
             "ab_star": flags.ab_star,
             "a_star_b": flags.a_star_b,
             "both": flags.both,
@@ -266,10 +284,9 @@ def _run_command(job, cmd, D, wach_cache, mod_name):
     if cmd == "slopes":
         return {"slopes": [str(s) for s in slopes(D)]}
     if cmd == "wach":
-        W = wach_cache.get(mod_name)
-        if W is None:
-            W = gamma_matrix(D, 1 + job.p, job.order())
-            wach_cache[mod_name] = W
+        if ("wach", mod_name) not in cache:
+            cache["wach", mod_name] = gamma_matrix(D, 1 + job.p, job.order())
+        W = cache["wach", mod_name]
         phi = D.phi_matrix()
         p_matches = all(W.P[i][j].constant_term() == phi.entries[i][j]
                         for i in range(D.d) for j in range(D.d))
@@ -280,8 +297,8 @@ def _run_command(job, cmd, D, wach_cache, mod_name):
             "iterations": W.iterations,
             "residual_zero": W.residual_zero,
             "residual_valuation": W.residual_valuation,
-            "eligibility": {"unit_root_rank": unit_root_rank(D),
-                            "top_slope_absent": top_slope_absent(D)},
+            "eligibility": {"unit_root_rank": rank0,
+                            "top_slope_absent": top_absent},
             "P_mod_pi_equals_phi": p_matches,
             "G_identity_mod_pi_pm1": g_identity,
             "q_cokernel": check_q_cokernel(W),

@@ -588,41 +588,18 @@ class OFMatrix:
         return OFMatrix(self.ctx, [[fn(e) for e in row] for row in self.entries])
 
     def det(self) -> OFElement:
-        """Exact determinant mod p^N, by elimination with minimal-valuation
-        pivots (row operations keep the determinant, swaps flip its sign)."""
+        """Exact determinant mod p^N: the signed product of the diagonal
+        left by the Smith row reduction (row operations keep the
+        determinant, swaps flip its sign)."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         ctx = self.ctx
         a = [[e.coeffs for e in row] for row in self.entries]
-        n = self.rows
-        sign = 1
+        _, sign = _smith_raw(ctx, a)
         acc = ctx.one_raw()
-        for k in range(n):
-            piv = _find_pivot(ctx, a, k, n, n)
-            if piv is None:
-                return OFElement(ctx, 0)
-            (i, j, v) = piv
-            if i != k:
-                a[i], a[k] = a[k], a[i]
-                sign = -sign
-            if j != k:
-                for r in a:
-                    r[j], r[k] = r[k], r[j]
-                sign = -sign
-            pivot = a[k][k]
-            unit = ctx.shift_raw(pivot, v)
-            unit_inv = ctx.inv_raw(unit)
-            for i in range(k + 1, n):
-                e = a[i][k]
-                if ctx.val_raw(e) is None:
-                    continue
-                q = ctx.mul_raw(ctx.shift_raw(e, v), unit_inv)
-                for j in range(k, n):
-                    a[i][j] = ctx.sub_raw(a[i][j], ctx.mul_raw(q, a[k][j]))
-            acc = ctx.mul_raw(acc, pivot)
-        if sign < 0:
-            acc = ctx.neg_raw(acc)
-        return OFElement(ctx, acc)
+        for k in range(self.rows):
+            acc = ctx.mul_raw(acc, a[k][k])
+        return OFElement(ctx, acc if sign > 0 else ctx.neg_raw(acc))
 
     def inverse(self) -> "OFMatrix":
         """Inverse over the local ring; requires a unit determinant."""
@@ -690,60 +667,76 @@ class SmithNormalForm:
         return sum(1 for e in self.exponents if e is not None)
 
 
+def _smith_raw(ctx, a, U=None, V=None):
+    """Smith reduction of the raw matrix `a` (lists of coefficient tuples),
+    in place; returns (exponents, sign of the row and column swaps).
+
+    Pivots have minimal valuation (ties row-major), so e_1 <= e_2 <= ...;
+    None marks the diagonal past the rank, where the rest is 0 at precision.
+    Row operations clear each pivot column exactly mod p^N and are replayed
+    on U when given; the column operations that would clear the pivot row
+    are replayed on V only, so `a` ends upper triangular with the Smith
+    diagonal.
+    """
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    n = min(nr, nc)
+    exps: list[int | None] = []
+    sign = 1
+    for k in range(n):
+        piv = _find_pivot(ctx, a, k, nr, nc)
+        if piv is None:
+            exps.extend([None] * (n - k))
+            break
+        i0, j0, v = piv
+        if i0 != k:
+            a[i0], a[k] = a[k], a[i0]
+            if U is not None:
+                U[i0], U[k] = U[k], U[i0]
+            sign = -sign
+        if j0 != k:
+            for r in a if V is None else a + V:
+                r[j0], r[k] = r[k], r[j0]
+            sign = -sign
+        unit_inv = ctx.inv_raw(ctx.shift_raw(a[k][k], v))
+        for i in range(k + 1, nr):
+            e = a[i][k]
+            if ctx.val_raw(e) is None:
+                continue
+            q = ctx.mul_raw(ctx.shift_raw(e, v), unit_inv)
+            for j in range(k, nc):
+                a[i][j] = ctx.sub_raw(a[i][j], ctx.mul_raw(q, a[k][j]))
+            if U is not None:
+                for j in range(nr):
+                    U[i][j] = ctx.sub_raw(U[i][j], ctx.mul_raw(q, U[k][j]))
+        if V is not None:
+            for j in range(k + 1, nc):
+                e = a[k][j]
+                if ctx.val_raw(e) is None:
+                    continue
+                q = ctx.mul_raw(ctx.shift_raw(e, v), unit_inv)
+                for i in range(nc):
+                    V[i][j] = ctx.sub_raw(V[i][j], ctx.mul_raw(q, V[i][k]))
+        exps.append(v)
+    return exps, sign
+
+
 def smith_normal_form(M: OFMatrix) -> SmithNormalForm:
     """Smith normal form over the local ring O_F.
 
-    Pivots are chosen with minimal valuation (ties row-major), so the
-    diagonal automatically satisfies p^{e_1} | p^{e_2} | ...  All row and
-    column operations happen mod p^N with quotients chosen so that the
-    eliminated entries vanish exactly; U and V are invertible at precision N
-    and the reconstruction U M V = D is bit-exact.
+    Minimal-valuation pivots make the diagonal satisfy
+    p^{e_1} | p^{e_2} | ...; U and V are invertible at precision N and the
+    reconstruction U M V = D is bit-exact.
     """
     ctx = M.ctx
     nr, nc = M.rows, M.cols
     a = [[e.coeffs for e in row] for row in M.entries]
     U = [[ctx.one_raw() if i == j else ctx.zero_raw() for j in range(nr)] for i in range(nr)]
     V = [[ctx.one_raw() if i == j else ctx.zero_raw() for j in range(nc)] for i in range(nc)]
-    exps: list[int | None] = []
-    for k in range(min(nr, nc)):
-        piv = _find_pivot(ctx, a, k, nr, nc)
-        if piv is None:
-            exps.extend([None] * (min(nr, nc) - k))
-            break
-        i0, j0, v = piv
-        if i0 != k:
-            a[i0], a[k] = a[k], a[i0]
-            U[i0], U[k] = U[k], U[i0]
-        if j0 != k:
-            for r in a:
-                r[j0], r[k] = r[k], r[j0]
-            for r in V:
-                r[j0], r[k] = r[k], r[j0]
-        pivot = a[k][k]
-        unit_inv = ctx.inv_raw(ctx.shift_raw(pivot, v))
-        for i in range(k + 1, nr):
-            e = a[i][k]
-            if ctx.val_raw(e) is None:
-                a[i][k] = ctx.zero_raw()
-                continue
-            q = ctx.mul_raw(ctx.shift_raw(e, v), unit_inv)
-            for j in range(k, nc):
-                a[i][j] = ctx.sub_raw(a[i][j], ctx.mul_raw(q, a[k][j]))
-            for j in range(nr):
-                U[i][j] = ctx.sub_raw(U[i][j], ctx.mul_raw(q, U[k][j]))
-        for j in range(k + 1, nc):
-            e = a[k][j]
-            if ctx.val_raw(e) is None:
-                a[k][j] = ctx.zero_raw()
-                continue
-            q = ctx.mul_raw(ctx.shift_raw(e, v), unit_inv)
-            for i in range(k, nr):
-                a[i][j] = ctx.sub_raw(a[i][j], ctx.mul_raw(q, a[i][k]))
-            for i in range(nc):
-                V[i][j] = ctx.sub_raw(V[i][j], ctx.mul_raw(q, V[i][k]))
-        exps.append(v)
+    exps, _ = _smith_raw(ctx, a, U, V)
+    D = [[a[i][i] if i == j else ctx.zero_raw() for j in range(nc)] for i in range(nr)]
     wrap = lambda m: OFMatrix(ctx, [[OFElement(ctx, e) for e in row] for row in m])
-    return SmithNormalForm(wrap(U), wrap(a), wrap(V), tuple(exps))
+    return SmithNormalForm(wrap(U), wrap(D), wrap(V), tuple(exps))
 
 
 # ---------------------------------------------------------------------------
@@ -753,60 +746,33 @@ def smith_normal_form(M: OFMatrix) -> SmithNormalForm:
 def charpoly(M: OFMatrix) -> list[OFElement]:
     """Coefficients [c_0, ..., c_d] of det(T*I - M), c_d = 1.
 
-    Expanded over permutations; the matrices in this package are tiny and
-    the ring Z/p^N has zero divisors, which rules out fraction-free
-    elimination tricks.
+    Berkowitz's algorithm (Inf. Proc. Letters 18, 1984) in O(d^4) ring
+    operations: the polynomial of each leading principal block is a Toeplitz
+    matrix of the products R A^k S (new row R, previous block A, new column
+    S) times the previous block's polynomial.  Being division-free, it is
+    exact mod p^N despite the zero divisors of O_F / p^N.
     """
     if M.rows != M.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
-    n = M.rows
-    if n > 8:
-        raise ValueError("permutation expansion limited to d <= 8")
     ctx = M.ctx
-    coeffs = [ctx.zero_raw() for _ in range(n + 1)]
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        # product of entries of T*I - M: off-diagonal constants, diagonal T - m_ii
-        poly = [ctx.one_raw()]
-        ok = True
-        for i, j in enumerate(perm):
-            if i == j:
-                mii = ctx.neg_raw(M.entries[i][i].coeffs)
-                new = [ctx.zero_raw() for _ in range(len(poly) + 1)]
-                for k, c in enumerate(poly):
-                    new[k] = ctx.add_raw(new[k], ctx.mul_raw(c, mii))
-                    new[k + 1] = ctx.add_raw(new[k + 1], c)
-                poly = new
-            else:
-                e = ctx.neg_raw(M.entries[i][j].coeffs)
-                if all(x == 0 for x in e):
-                    ok = False
-                    break
-                poly = [ctx.mul_raw(c, e) for c in poly]
-        if not ok:
-            continue
-        for k, c in enumerate(poly):
-            if sign > 0:
-                coeffs[k] = ctx.add_raw(coeffs[k], c)
-            else:
-                coeffs[k] = ctx.sub_raw(coeffs[k], c)
-    return [OFElement(ctx, c) for c in coeffs]
+    a = [[e.coeffs for e in row] for row in M.entries]
 
+    def dot(u, v):
+        acc = ctx.zero_raw()
+        for x, y in zip(u, v):
+            acc = ctx.add_raw(acc, ctx.mul_raw(x, y))
+        return acc
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+    poly = [ctx.one_raw()]  # of the leading r x r block, highest degree first
+    for r in range(M.rows):
+        row, col = a[r][:r], [a[i][r] for i in range(r)]
+        toeplitz = [ctx.one_raw(), ctx.neg_raw(a[r][r])]
+        for _ in range(r):
+            toeplitz.append(ctx.neg_raw(dot(row, col)))
+            col = [dot(a[i][:r], col) for i in range(r)]
+        poly = [dot([toeplitz[i - j] for j in range(min(i, r) + 1)], poly)
+                for i in range(r + 2)]
+    return [OFElement(ctx, c) for c in reversed(poly)]
 
 
 def _lower_hull(points):
@@ -884,62 +850,50 @@ def semilinear_stable_rank(M: OFMatrix) -> int:
     for _ in range(steps - 1):
         # matrix of the next iterate of x -> sigma(x) B (images in rows)
         acc = acc.frobenius_map() * B
-    return _residue_rank(acc)
-
-
-def _residue_rank(B: OFMatrix) -> int:
-    ctx = B.ctx
-    a = [list(row) for row in B.entries]
-    rank = 0
-    col = 0
-    while rank < B.rows and col < B.cols:
-        piv = None
-        for i in range(rank, B.rows):
-            if not a[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col].unit_inverse()
-        a[rank] = [e * inv for e in a[rank]]
-        for i in range(B.rows):
-            if i != rank and not a[i][col].is_zero():
-                c = a[i][col]
-                a[i] = [e - c * g for e, g in zip(a[i], a[rank])]
-        rank += 1
-        col += 1
-    return rank
+    exps, _ = _smith_raw(rctx, [[e.coeffs for e in row] for row in acc.entries])
+    return sum(e is not None for e in exps)
 
 
 # ---------------------------------------------------------------------------
-# semisimplicity over exact rationals
+# exact rational elimination and semisimplicity
 # ---------------------------------------------------------------------------
 
-def rational_rank(M) -> int:
-    """Rank of a matrix with Fraction entries, by Gaussian elimination."""
-    a = [[Fraction(e) for e in row] for row in M]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
+def rational_reduce(rows, ncols: int):
+    """Gauss-Jordan elimination over exact rationals, pivoting on the first
+    ncols columns; returns (rank, det, reduced rows).
+
+    Reducing [M | I] on ncols = n columns leaves [I | M^{-1}] when M is
+    invertible.  det is the determinant of the leading ncols x ncols block
+    when there are exactly ncols rows, else 0.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
     rank = 0
-    col = 0
-    while rank < rows and col < cols:
-        piv = next((i for i in range(rank, rows) if a[i][col] != 0), None)
+    for col in range(ncols):
+        if rank == len(a):
+            break
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
         if piv is None:
-            col += 1
             continue
-        a[rank], a[piv] = a[piv], a[rank]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
         pv = a[rank][col]
+        det *= pv
         a[rank] = [x / pv for x in a[rank]]
-        for i in range(rows):
+        for i in range(len(a)):
             if i != rank and a[i][col] != 0:
                 c = a[i][col]
                 a[i] = [x - c * y for x, y in zip(a[i], a[rank])]
         rank += 1
-        col += 1
-    return rank
+    if not rank == len(a) == ncols:
+        det = Fraction(0)
+    return rank, det, a
+
+
+def rational_rank(M) -> int:
+    """Rank of a matrix with Fraction entries."""
+    return rational_reduce(M, len(M[0]) if M else 0)[0]
 
 
 def is_semisimple_at(M, alpha) -> bool:

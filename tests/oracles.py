@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's own code paths: integer
 determinants by permutation expansion, rational kernel bases by hand-rolled
-elimination, lattice equality through unit minors.  The lattice oracle at
-the end solves for H, the residual and the q-cokernel product with
+elimination, lattice equality through unit minors.  The eliminations over
+O_F / p^N are the earlier separate loops: the characteristic polynomial by
+permutation expansion, and Smith form, determinant and residue rank each
+with its own reduction.  The lattice oracle at the end solves for H, the residual and the q-cokernel product with
 `APlusSeries` matrices: only the series ring and the shared ingredients
 are the library's, none of the packed f = 1 pipeline of `wach.py`.
 """
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 from wachlab.aplus import APlusSeries, exact_div_pi, phi_series, shift_pi
 from wachlab.errors import NonConvergence
+from wachlab.padic import OFElement, OFMatrix
 from wachlab.wach import _ingredients
 
 
@@ -178,6 +181,200 @@ def invert_rational(A):
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return [row[n:] for row in a]
+
+
+def rational_det_ref(m):
+    """Determinant of a square Fraction matrix by forward elimination."""
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        pv = a[c][c]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] / pv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+# ---------------------------------------------------------------------------
+# eliminations over O_F / p^N: the permutation-expanded characteristic
+# polynomial and separate Smith, determinant and residue-rank loops
+# ---------------------------------------------------------------------------
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def charpoly_ref(M):
+    """Coefficients [c_0, ..., c_d] of det(T*I - M), expanded over all
+    permutations: O(d! d) ring operations."""
+    ctx = M.ctx
+    n = M.rows
+    coeffs = [ctx.zero_raw() for _ in range(n + 1)]
+    for perm in itertools.permutations(range(n)):
+        sign = _perm_sign(perm)
+        # product of entries of T*I - M: off-diagonal constants, diagonal T - m_ii
+        poly = [ctx.one_raw()]
+        for i, j in enumerate(perm):
+            if i == j:
+                mii = ctx.neg_raw(M.entries[i][i].coeffs)
+                new = [ctx.zero_raw() for _ in range(len(poly) + 1)]
+                for k, c in enumerate(poly):
+                    new[k] = ctx.add_raw(new[k], ctx.mul_raw(c, mii))
+                    new[k + 1] = ctx.add_raw(new[k + 1], c)
+                poly = new
+            else:
+                e = ctx.neg_raw(M.entries[i][j].coeffs)
+                poly = [ctx.mul_raw(c, e) for c in poly]
+        for k, c in enumerate(poly):
+            coeffs[k] = (ctx.add_raw if sign > 0 else ctx.sub_raw)(coeffs[k], c)
+    return [OFElement(ctx, c) for c in coeffs]
+
+
+def _pivot_ref(ctx, a, k, nrows, ncols):
+    """Minimal valuation entry of the trailing block, ties in row-major order."""
+    best = None
+    for i in range(k, nrows):
+        for j in range(k, ncols):
+            v = ctx.val_raw(a[i][j])
+            if v is not None and (best is None or v < best[2]):
+                best = (i, j, v)
+                if v == 0:
+                    return best
+    return best
+
+
+def smith_normal_form_ref(M):
+    """Smith normal form with every row and column operation applied to the
+    working matrix, so D is read off the fully reduced matrix."""
+    ctx = M.ctx
+    nr, nc = M.rows, M.cols
+    a = [[e.coeffs for e in row] for row in M.entries]
+    U = [[ctx.one_raw() if i == j else ctx.zero_raw() for j in range(nr)] for i in range(nr)]
+    V = [[ctx.one_raw() if i == j else ctx.zero_raw() for j in range(nc)] for i in range(nc)]
+    exps = []
+    for k in range(min(nr, nc)):
+        piv = _pivot_ref(ctx, a, k, nr, nc)
+        if piv is None:
+            exps.extend([None] * (min(nr, nc) - k))
+            break
+        i0, j0, v = piv
+        if i0 != k:
+            a[i0], a[k] = a[k], a[i0]
+            U[i0], U[k] = U[k], U[i0]
+        if j0 != k:
+            for r in a + V:
+                r[j0], r[k] = r[k], r[j0]
+        unit_inv = ctx.inv_raw(ctx.shift_raw(a[k][k], v))
+        for i in range(k + 1, nr):
+            e = a[i][k]
+            if ctx.val_raw(e) is None:
+                continue
+            q = ctx.mul_raw(ctx.shift_raw(e, v), unit_inv)
+            for j in range(k, nc):
+                a[i][j] = ctx.sub_raw(a[i][j], ctx.mul_raw(q, a[k][j]))
+            for j in range(nr):
+                U[i][j] = ctx.sub_raw(U[i][j], ctx.mul_raw(q, U[k][j]))
+        for j in range(k + 1, nc):
+            e = a[k][j]
+            if ctx.val_raw(e) is None:
+                continue
+            q = ctx.mul_raw(ctx.shift_raw(e, v), unit_inv)
+            for i in range(k, nr):
+                a[i][j] = ctx.sub_raw(a[i][j], ctx.mul_raw(q, a[i][k]))
+            for i in range(nc):
+                V[i][j] = ctx.sub_raw(V[i][j], ctx.mul_raw(q, V[i][k]))
+        exps.append(v)
+    return OFMatrix(ctx, U), OFMatrix(ctx, a), OFMatrix(ctx, V), tuple(exps)
+
+
+def det_ref(M):
+    """Determinant by forward elimination, multiplying the pivots as they
+    are found."""
+    ctx = M.ctx
+    a = [[e.coeffs for e in row] for row in M.entries]
+    n = M.rows
+    sign = 1
+    acc = ctx.one_raw()
+    for k in range(n):
+        piv = _pivot_ref(ctx, a, k, n, n)
+        if piv is None:
+            return OFElement(ctx, 0)
+        i, j, v = piv
+        if i != k:
+            a[i], a[k] = a[k], a[i]
+            sign = -sign
+        if j != k:
+            for r in a:
+                r[j], r[k] = r[k], r[j]
+            sign = -sign
+        pivot = a[k][k]
+        unit_inv = ctx.inv_raw(ctx.shift_raw(pivot, v))
+        for i in range(k + 1, n):
+            e = a[i][k]
+            if ctx.val_raw(e) is None:
+                continue
+            q = ctx.mul_raw(ctx.shift_raw(e, v), unit_inv)
+            for j in range(k, n):
+                a[i][j] = ctx.sub_raw(a[i][j], ctx.mul_raw(q, a[k][j]))
+        acc = ctx.mul_raw(acc, pivot)
+    return OFElement(ctx, acc if sign > 0 else ctx.neg_raw(acc))
+
+
+def residue_rank_ref(B):
+    """Rank of a matrix over the residue field (precision 1), by
+    Gauss-Jordan elimination on OFElement entries."""
+    a = [list(row) for row in B.entries]
+    rank = 0
+    col = 0
+    while rank < B.rows and col < B.cols:
+        piv = next((i for i in range(rank, B.rows) if not a[i][col].is_zero()), None)
+        if piv is None:
+            col += 1
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = a[rank][col].unit_inverse()
+        a[rank] = [e * inv for e in a[rank]]
+        for i in range(B.rows):
+            if i != rank and not a[i][col].is_zero():
+                c = a[i][col]
+                a[i] = [e - c * g for e, g in zip(a[i], a[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def stable_rank_ref(M):
+    """semilinear_stable_rank with the rank taken by residue_rank_ref."""
+    rctx = M.ctx.residue()
+    B = OFMatrix(rctx, [[tuple(c % rctx.p for c in e.coeffs) for e in row]
+                        for row in M.entries])
+    acc = B
+    for _ in range(M.rows * rctx.f - 1):
+        acc = acc.frobenius_map() * B
+    return residue_rank_ref(acc)
 
 
 # ---------------------------------------------------------------------------

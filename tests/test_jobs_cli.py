@@ -6,6 +6,7 @@ import string
 
 import pytest
 
+import wachlab.jobs
 from wachlab import ParseError, ValidationError
 from wachlab.cli import main
 from wachlab.jobs import format_job, generate_corpus, parse_job, run_job
@@ -160,8 +161,9 @@ command tam triv
         assert entry["error"]["type"] == "Degenerate"
 
     def test_rank_nine_slopes_error_keeps_check(self):
-        # slopes stops at rank 8 with a ValueError; it must stay the slopes
-        # command's entry and leave the check result in the report
+        # det(Phi) is 0 at N = 6, so slopes fails with PrecisionLoss; the
+        # failure must stay the slopes command's entry and leave the check
+        # result in the report
         rows = ["row " + " ".join(str(int(i == j) + (j > i) * (i + 2 * j) % 11)
                                   for j in range(9)) for i in range(9)]
         rows[8] = "row 1 0 0 0 0 0 0 0 1"
@@ -174,9 +176,21 @@ command tam triv
         assert check["data"]["strongly_divisible"] is True
         assert check["data"]["unit_root_rank"] == 3
         assert slopes["ok"] is False
-        assert slopes["error"] == {"type": "ValueError",
-                                   "reason": "permutation expansion limited to d <= 8"}
+        assert slopes["error"]["type"] == "PrecisionLoss"
         assert report["ok"] is False
+
+    def test_false_verdict_is_not_ok(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(wachlab.jobs, "check_q_cokernel", lambda W: False)
+        f = tmp_path / "job.wach"
+        f.write_text(MINIMAL.replace("command check m1", "command wach m1"))
+        rc = main(["run", str(f)])
+        report = json.loads(capsys.readouterr().out)
+        (wach,) = report["results"]
+        assert wach["data"]["q_cokernel"] is False
+        assert "error" not in wach
+        assert wach["ok"] is False
+        assert report["ok"] is False
+        assert rc == 1
 
     def test_byte_determinism(self):
         job1 = parse_job(RANK2)
