@@ -333,7 +333,8 @@ class CepReport:
         }
 
 
-def cep_check(D: FilPhiModule) -> CepReport:
+def cep_check(D: FilPhiModule, tam_V: int | None = None,
+              tam_dual: int | None = None) -> CepReport:
     """Compare the Gamma*-form and the Tamagawa-ratio form of the lattice
     exponent; verdict is their agreement.
 
@@ -342,6 +343,9 @@ def cep_check(D: FilPhiModule) -> CepReport:
 
     Under both slope conditions with the window inside [-(p-2), p-1] all
     components vanish except the shared determinant term.
+
+    `tam_V` and `tam_dual` pass tam_exponent(D) and
+    tam_exponent(dual_twist(D, 1)) when the caller already has them.
     """
     _require_f1(D)
     p = D.ctx.p
@@ -352,8 +356,10 @@ def cep_check(D: FilPhiModule) -> CepReport:
     _, det_vp = det_minus_phi_dual(D)
     gamma_vp = -sum(mult * gamma_star(-j, p).v_p for j, mult in h.items())
     eta = eta_exponent(D)
-    tam_V = tam_exponent(D)
-    tam_dual = tam_exponent(dual_twist(D, 1))
+    if tam_V is None:
+        tam_V = tam_exponent(D)
+    if tam_dual is None:
+        tam_dual = tam_exponent(dual_twist(D, 1))
     lhs = det_vp + gamma_vp + eta
     rhs = det_vp + tam_V - tam_dual
     return CepReport(tam_V, tam_dual, det_vp, gamma_vp, eta, lhs, lhs == rhs)

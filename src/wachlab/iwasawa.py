@@ -3,25 +3,34 @@ distribution enlargement (f = 1).
 
 An element is stored in idempotent coordinates: one truncated power series
 in T = gamma_1 - 1 per character component i of the torsion subgroup
-(i in Z/(p-1)), with exact rational coefficients.  p-power denominators are
-allowed and tracked; integrality (all denominators prime to p) is what
-membership in the integral algebra means here.
+(i in Z/(p-1)).  All p - 1 series share one common denominator: the element
+holds integer numerators and one positive integer `den`, reduced so that
+gcd(den, all numerators) = 1.  That form is canonical, so equality and
+hashing are structural, and `den` is the lcm of the coefficient
+denominators.  p-power denominators are allowed and tracked; integrality
+(den prime to p) is what membership in the integral algebra means here.
+`Fraction` appears only at the boundary: the constructor, the `components`
+view, evaluation and the logarithm elements.
 
 The twist automorphism gamma -> chi(gamma) gamma moves the content of
 component i+1 to component i (with the standard idempotents
 e_i = (p-1)^{-1} sum ϖ^{-i}(delta) delta and Tw(delta) = ϖ(delta) delta,
 the i-th component of the twist is the substituted (i+1)-st component of
-the argument) and substitutes T -> p + (1+p)T on each series; the
-substitution is affine, so the truncation is exact and the twist is a ring
-automorphism with exact inverse.
+the argument) and substitutes T -> p + (1+p)T on each series: an integer
+Taylor shift by p followed by scaling T^k by (1+p)^k.  The substitution is
+affine, so the truncation is exact and the twist is a ring automorphism
+with exact inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .errors import NotIntegral
-from .padic import vp_fraction
+from .padic import vp_int
 
 
 class IwasawaContext:
@@ -51,20 +60,42 @@ class IwasawaContext:
 
 
 class IwasawaElement:
-    """components[i][k]: coefficient of T^k in the e_i-component, a Fraction."""
+    """nums[i][k] / den: coefficient of T^k in the e_i-component.
 
-    __slots__ = ("ctx", "components")
+    `nums` is a tuple of p - 1 tuples of M_T ints, `den` > 0 and
+    gcd(den, all nums) = 1.  The constructor takes ints and Fractions;
+    `components` gives the coefficients back as Fractions."""
+
+    __slots__ = ("ctx", "nums", "den")
 
     def __init__(self, ctx: IwasawaContext, components):
-        self.ctx = ctx
-        comps = []
-        for series in components:
-            row = [Fraction(c) for c in series][: ctx.M_T]
-            row += [Fraction(0)] * (ctx.M_T - len(row))
-            comps.append(tuple(row))
-        if len(comps) != ctx.p - 1:
+        M = ctx.M_T
+        rows = [[c if type(c) is int else Fraction(c) for c in series][:M]
+                for series in components]
+        if len(rows) != ctx.p - 1:
             raise ValueError(f"expected {ctx.p - 1} components")
-        self.components = tuple(comps)
+        den = lcm(1, *(c.denominator for c in chain.from_iterable(rows)
+                       if type(c) is not int))
+        self.ctx = ctx
+        self.den = den
+        self.nums = tuple(tuple(c * den if type(c) is int
+                                else c.numerator * (den // c.denominator)
+                                for c in row) + (0,) * (M - len(row))
+                          for row in rows)
+
+    @classmethod
+    def _reduced(cls, ctx, nums, den):
+        """The element nums / den (den > 0) in canonical form."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(nums))
+            if g != 1:
+                den //= g
+                nums = [[n // g for n in row] for row in nums]
+        x = object.__new__(cls)
+        x.ctx = ctx
+        x.nums = tuple(map(tuple, nums))
+        x.den = den
+        return x
 
     @classmethod
     def zero(cls, ctx):
@@ -80,69 +111,73 @@ class IwasawaElement:
         comps[i % (ctx.p - 1)] = list(series)
         return cls(ctx, comps)
 
-    def __add__(self, other):
-        self._check(other)
-        return IwasawaElement(self.ctx, [[a + b for a, b in zip(x, y)]
-                                         for x, y in zip(self.components,
-                                                         other.components)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return IwasawaElement(self.ctx, [[a - b for a, b in zip(x, y)]
-                                         for x, y in zip(self.components,
-                                                         other.components)])
-
-    def __neg__(self):
-        return IwasawaElement(self.ctx, [[-a for a in x] for x in self.components])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return IwasawaElement(self.ctx, [[a * other for a in x]
-                                             for x in self.components])
-        self._check(other)
-        M = self.ctx.M_T
-        out = []
-        for x, y in zip(self.components, other.components):
-            prod = [Fraction(0)] * M
-            for i, xi in enumerate(x):
-                if xi:
-                    for j in range(M - i):
-                        if y[j]:
-                            prod[i + j] += xi * y[j]
-            out.append(prod)
-        return IwasawaElement(self.ctx, out)
-
-    __rmul__ = __mul__
+    @property
+    def components(self):
+        """components[i][k]: coefficient of T^k in the e_i-component, a
+        Fraction."""
+        den = self.den
+        return tuple(tuple(Fraction(n, den) for n in row) for row in self.nums)
 
     def _check(self, other):
         if not isinstance(other, IwasawaElement) or other.ctx != self.ctx:
             raise ValueError("mixed Iwasawa contexts")
 
+    def _combine(self, other, op):
+        """self op other, numerators brought to the lcm of the denominators."""
+        self._check(other)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return IwasawaElement._reduced(self.ctx, [
+            list(map(op, map(sa.__mul__, x), map(sb.__mul__, y)))
+            for x, y in zip(self.nums, other.nums)], den)
+
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            k = Fraction(other)
+            return IwasawaElement._reduced(
+                self.ctx, [[n * k.numerator for n in row] for row in self.nums],
+                self.den * k.denominator)
+        self._check(other)
+        M = self.ctx.M_T
+        out = []
+        for x, y in zip(self.nums, other.nums):
+            # truncated convolution, one shifted row of products per x_i
+            prod = [0] * M
+            if any(y):
+                for i, xi in enumerate(x):
+                    if xi:
+                        prod[i:] = map(add, prod[i:], map(xi.__mul__, y))
+            out.append(prod)
+        return IwasawaElement._reduced(self.ctx, out, self.den * other.den)
+
+    __rmul__ = __mul__
+
     def __eq__(self, other):
         return (isinstance(other, IwasawaElement) and other.ctx == self.ctx
-                and other.components == self.components)
+                and other.den == self.den and other.nums == self.nums)
 
     def __hash__(self):
-        return hash((self.ctx, self.components))
+        return hash((self.ctx, self.den, self.nums))
 
     def __repr__(self):
-        nonzero = sum(1 for comp in self.components for c in comp if c)
+        nonzero = sum(1 for row in self.nums for n in row if n)
         return f"IwasawaElement(p={self.ctx.p}, M_T={self.ctx.M_T}, {nonzero} terms)"
 
     def max_denominator_vp(self) -> int:
         """Largest p-power appearing in a denominator (0 for integral)."""
-        worst = 0
-        for comp in self.components:
-            for c in comp:
-                if c:
-                    v = vp_fraction(c, self.ctx.p)
-                    if v < -worst:
-                        worst = -v
-        return worst
+        return vp_int(self.den, self.ctx.p)
 
     def is_integral(self) -> bool:
-        return all(c.denominator % self.ctx.p for comp in self.components
-                   for c in comp)
+        return self.den % self.ctx.p != 0
 
 
 def idempotent(ctx: IwasawaContext, i: int) -> IwasawaElement:
@@ -156,20 +191,17 @@ def idempotent(ctx: IwasawaContext, i: int) -> IwasawaElement:
     return IwasawaElement.from_component(ctx, i, [1])
 
 
-def _affine_substitute(series, a: Fraction, b: Fraction, M: int):
-    """f(T) -> f(a + b T) by Horner; degree is preserved, no truncation loss."""
-    acc = [Fraction(0)] * M
-    for c in reversed(series):
-        # acc <- acc * (a + bT) + c
-        new = [Fraction(0)] * M
-        for k in range(M - 1, -1, -1):
-            if acc[k]:
-                new[k] += acc[k] * a
-                if k + 1 < M:
-                    new[k + 1] += acc[k] * b
-        new[0] += c
-        acc = new
-    return acc
+def _taylor_shift(row, s: int) -> list:
+    """Integer coefficients of f(T + s) from those of f, in O(len(row)^2)
+    multiply-adds (von zur Gathen and Gerhard, ISSAC 1997, Horner form)."""
+    a = list(row)
+    if not any(a):
+        return a
+    n = len(a)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            a[j] += s * a[j + 1]
+    return a
 
 
 def twist1(x: IwasawaElement) -> IwasawaElement:
@@ -177,26 +209,27 @@ def twist1(x: IwasawaElement) -> IwasawaElement:
     substituted component i+1, and T -> p + (1+p)T on each series."""
     ctx = x.ctx
     p = ctx.p
-    a, b = Fraction(p), Fraction(1 + p)
-    comps = []
+    scale = [(1 + p) ** k for k in range(ctx.M_T)]
+    rows = []
     for i in range(p - 1):
-        src = x.components[(i + 1) % (p - 1)]
-        comps.append(_affine_substitute(src, a, b, ctx.M_T))
-    return IwasawaElement(ctx, comps)
+        shifted = _taylor_shift(x.nums[(i + 1) % (p - 1)], p)
+        rows.append(list(map(mul, shifted, scale)))
+    return IwasawaElement._reduced(ctx, rows, x.den)
 
 
 def twist_minus1(x: IwasawaElement) -> IwasawaElement:
     """Inverse twist: component i receives component i-1 with
-    T -> (T - p)/(1+p)."""
+    T -> (T - p)/(1+p), that is (1+p)^{-m} sum_k c_k (1+p)^{m-k} (T - p)^k
+    for m = M_T - 1."""
     ctx = x.ctx
     p = ctx.p
-    a = Fraction(-p, 1 + p)
-    b = Fraction(1, 1 + p)
-    comps = []
+    m = ctx.M_T - 1
+    scale = [(1 + p) ** (m - k) for k in range(ctx.M_T)]
+    rows = []
     for i in range(p - 1):
-        src = x.components[(i - 1) % (p - 1)]
-        comps.append(_affine_substitute(src, a, b, ctx.M_T))
-    return IwasawaElement(ctx, comps)
+        src = x.nums[(i - 1) % (p - 1)]
+        rows.append(_taylor_shift(map(mul, src, scale), -p))
+    return IwasawaElement._reduced(ctx, rows, x.den * (1 + p) ** m)
 
 
 def log_one_plus_p(ctx: IwasawaContext) -> Fraction:
@@ -230,16 +263,16 @@ def ell(ctx: IwasawaContext, j: int) -> IwasawaElement:
 def eval_at_zero(x: IwasawaElement) -> Fraction:
     """Projection to the component-0 factor followed by T -> 0; a ring
     homomorphism."""
-    return x.components[0][0]
+    return Fraction(x.nums[0][0], x.den)
 
 
 def evaluate_component(x: IwasawaElement, i: int, t0: Fraction) -> Fraction:
     """Finite evaluation of the component-i series at a rational point
     (used for the character-value checks; the truncation tail is dropped)."""
-    acc = Fraction(0)
-    for c in reversed(x.components[i % (x.ctx.p - 1)]):
-        acc = acc * t0 + c
-    return acc
+    acc = 0
+    for n in reversed(x.nums[i % (x.ctx.p - 1)]):
+        acc = acc * t0 + n
+    return Fraction(acc) / x.den
 
 
 def is_lambda_unit(x: IwasawaElement) -> bool:
@@ -250,11 +283,7 @@ def is_lambda_unit(x: IwasawaElement) -> bool:
     if not x.is_integral():
         raise NotIntegral("element has p-power denominators")
     p = x.ctx.p
-    for comp in x.components:
-        c0 = comp[0]
-        if c0 == 0 or vp_fraction(c0, p) != 0:
-            return False
-    return True
+    return all(row[0] % p for row in x.nums)
 
 
 def delta_twist_consistency(delta_V: IwasawaElement,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import __version__
 from .errors import Degenerate, ParseError, PrecisionLoss, ValidationError
@@ -261,8 +260,9 @@ def run_job(job: JobDocument) -> str:
 
 
 def _run_command(job, cmd, D, cache, mod_name):
-    """One command's result data; `cache` holds each module's slope flags
-    and lattice data, so that they are computed once per job."""
+    """One command's result data; `cache` holds each module's slope flags,
+    lattice data, dual twist and Tamagawa exponents, so that they are
+    computed once per job."""
     if cmd == "iwasawa-check":
         return _iwasawa_selfcheck(job)
     if cmd in ("check", "wach"):
@@ -310,12 +310,33 @@ def _run_command(job, cmd, D, cache, mod_name):
             }
         return data
     if cmd == "tam":
-        return {"exponent": tam_exponent(D)}
+        tam, exc = _once(cache, ("tam", mod_name), tam_exponent, D)
+        if exc is not None:
+            raise exc
+        return {"exponent": tam}
     if cmd == "cep":
-        data = cep_check(D).as_dict()
-        data["dual_jumps"] = list(dual_twist(D, 1).jumps)
+        # a failed value goes in as None: cep_check recomputes it and raises
+        # in its own order
+        tam = _once(cache, ("tam", mod_name), tam_exponent, D)[0]
+        dual = _once(cache, ("dual", mod_name), dual_twist, D, 1)[0]
+        tam_dual = None
+        if dual is not None:
+            tam_dual = _once(cache, ("tam dual", mod_name), tam_exponent, dual)[0]
+        data = cep_check(D, tam_V=tam, tam_dual=tam_dual).as_dict()
+        data["dual_jumps"] = list(dual.jumps)
         return data
     raise ValidationError(f"unhandled command {cmd}")
+
+
+def _once(cache, key, fn, *args):
+    """fn(*args) computed once per job: (value, None), or (None, the error
+    it raised)."""
+    if key not in cache:
+        try:
+            cache[key] = fn(*args), None
+        except Exception as exc:
+            cache[key] = None, exc
+    return cache[key]
 
 
 def _g_congruent_identity(W) -> bool:
@@ -337,11 +358,11 @@ def _iwasawa_selfcheck(job: JobDocument) -> dict:
     def rand_unit():
         comps = []
         for _ in range(ctx.p - 1):
-            row = [Fraction(rng.randrange(-50, 50)) for _ in range(ctx.M_T)]
+            row = [rng.randrange(-50, 50) for _ in range(ctx.M_T)]
             c = rng.randrange(1, 50)
             while c % ctx.p == 0:
                 c = rng.randrange(1, 50)
-            row[0] = Fraction(c)
+            row[0] = c
             comps.append(row)
         return iw.IwasawaElement(ctx, comps)
     ide = all(

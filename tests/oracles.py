@@ -7,15 +7,18 @@ O_F / p^N are the earlier separate loops: the characteristic polynomial by
 permutation expansion, and Smith form, determinant and residue rank each
 with its own reduction.  The lattice oracle at the end solves for H, the residual and the q-cokernel product with
 `APlusSeries` matrices: only the series ring and the shared ingredients
-are the library's, none of the packed f = 1 pipeline of `wach.py`.
+are the library's, none of the packed f = 1 pipeline of `wach.py`.  The
+Iwasawa oracle keeps every coefficient as its own `Fraction` and twists by
+Horner substitution T -> a + bT, where the library holds integer numerators
+over one denominator and twists by integer Taylor shifts.
 """
 
 import itertools
 from fractions import Fraction
 
 from wachlab.aplus import APlusSeries, exact_div_pi, phi_series, shift_pi
-from wachlab.errors import NonConvergence
-from wachlab.padic import OFElement, OFMatrix
+from wachlab.errors import NonConvergence, NotIntegral
+from wachlab.padic import OFElement, OFMatrix, vp_fraction
 from wachlab.wach import _ingredients
 
 
@@ -481,3 +484,124 @@ def q_cokernel_oracle(D, c, P, order):
     prod = _smat_mul(cand, P)
     return all((prod[i][j] - ing.q_powers[r_top] if i == j else prod[i][j])
                .pi_valuation() is None for i in range(d) for j in range(d))
+
+
+# ---------------------------------------------------------------------------
+# Iwasawa layer: the Fraction-coefficient element and affine substitution
+# ---------------------------------------------------------------------------
+
+class IwasawaElementRef:
+    """components[i][k]: coefficient of T^k in the e_i-component, a Fraction."""
+
+    __slots__ = ("ctx", "components")
+
+    def __init__(self, ctx, components):
+        self.ctx = ctx
+        comps = []
+        for series in components:
+            row = [Fraction(c) for c in series][: ctx.M_T]
+            row += [Fraction(0)] * (ctx.M_T - len(row))
+            comps.append(tuple(row))
+        if len(comps) != ctx.p - 1:
+            raise ValueError(f"expected {ctx.p - 1} components")
+        self.components = tuple(comps)
+
+    @classmethod
+    def from_component(cls, ctx, i, series):
+        comps = [[0] for _ in range(ctx.p - 1)]
+        comps[i % (ctx.p - 1)] = list(series)
+        return cls(ctx, comps)
+
+    def __add__(self, other):
+        return IwasawaElementRef(self.ctx, [[a + b for a, b in zip(x, y)]
+                                            for x, y in zip(self.components,
+                                                            other.components)])
+
+    def __sub__(self, other):
+        return IwasawaElementRef(self.ctx, [[a - b for a, b in zip(x, y)]
+                                            for x, y in zip(self.components,
+                                                            other.components)])
+
+    def __neg__(self):
+        return IwasawaElementRef(self.ctx, [[-a for a in x] for x in self.components])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return IwasawaElementRef(self.ctx, [[a * other for a in x]
+                                                for x in self.components])
+        M = self.ctx.M_T
+        out = []
+        for x, y in zip(self.components, other.components):
+            prod = [Fraction(0)] * M
+            for i, xi in enumerate(x):
+                if xi:
+                    for j in range(M - i):
+                        if y[j]:
+                            prod[i + j] += xi * y[j]
+            out.append(prod)
+        return IwasawaElementRef(self.ctx, out)
+
+    def max_denominator_vp(self) -> int:
+        worst = 0
+        for comp in self.components:
+            for c in comp:
+                if c:
+                    v = vp_fraction(c, self.ctx.p)
+                    if v < -worst:
+                        worst = -v
+        return worst
+
+    def is_integral(self) -> bool:
+        return all(c.denominator % self.ctx.p for comp in self.components
+                   for c in comp)
+
+
+def _affine_substitute(series, a: Fraction, b: Fraction, M: int):
+    """f(T) -> f(a + b T) by Horner; degree is preserved, no truncation loss."""
+    acc = [Fraction(0)] * M
+    for c in reversed(series):
+        new = [Fraction(0)] * M
+        for k in range(M - 1, -1, -1):
+            if acc[k]:
+                new[k] += acc[k] * a
+                if k + 1 < M:
+                    new[k + 1] += acc[k] * b
+        new[0] += c
+        acc = new
+    return acc
+
+
+def twist1_ref(x):
+    ctx, p = x.ctx, x.ctx.p
+    return IwasawaElementRef(ctx, [
+        _affine_substitute(x.components[(i + 1) % (p - 1)], Fraction(p),
+                           Fraction(1 + p), ctx.M_T) for i in range(p - 1)])
+
+
+def twist_minus1_ref(x):
+    ctx, p = x.ctx, x.ctx.p
+    return IwasawaElementRef(ctx, [
+        _affine_substitute(x.components[(i - 1) % (p - 1)], Fraction(-p, 1 + p),
+                           Fraction(1, 1 + p), ctx.M_T) for i in range(p - 1)])
+
+
+def ell_ref(ctx, j):
+    """ell_j with the logarithm of 1+p summed term by term."""
+    lp = sum(Fraction((-1) ** (k + 1) * ctx.p ** k, k) for k in range(1, ctx.N + 9))
+    series = [Fraction(-j)] + [Fraction((-1) ** (k + 1), k) / lp
+                               for k in range(1, ctx.M_T)]
+    return IwasawaElementRef(ctx, [list(series) for _ in range(ctx.p - 1)])
+
+
+def evaluate_component_ref(x, i, t0):
+    acc = Fraction(0)
+    for c in reversed(x.components[i % (x.ctx.p - 1)]):
+        acc = acc * t0 + c
+    return acc
+
+
+def is_lambda_unit_ref(x):
+    if not x.is_integral():
+        raise NotIntegral("element has p-power denominators")
+    return all(comp[0] != 0 and vp_fraction(comp[0], x.ctx.p) == 0
+               for comp in x.components)

@@ -3,6 +3,7 @@ evaluation, and unit criteria at finite T-truncation."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,6 +22,15 @@ from wachlab.iwasawa import (
     twist_minus1,
 )
 from wachlab.padic import vp_fraction
+
+from oracles import (
+    IwasawaElementRef,
+    ell_ref,
+    evaluate_component_ref,
+    is_lambda_unit_ref,
+    twist1_ref,
+    twist_minus1_ref,
+)
 
 
 def rand_element(ctx, rng, integral=True, unit=False):
@@ -265,3 +275,116 @@ class TestDeltaConsistency:
             if twist1(a) == b:
                 continue  # astronomically unlikely with this generator
             assert not delta_twist_consistency(a, b)
+
+
+def rand_pair(ctx, rng, integral):
+    """The same random element as an IwasawaElement and as the Fraction
+    oracle; non-integral inputs draw denominators with p and 1 + p in them,
+    and some components are zero."""
+    dens = [1] if integral else [1, 1, 2, ctx.p, ctx.p ** 2, 1 + ctx.p, 3 * ctx.p]
+    comps = []
+    for _ in range(ctx.p - 1):
+        if rng.random() < 0.2:
+            comps.append([0])
+            continue
+        row = [Fraction(rng.randrange(-60, 60), rng.choice(dens))
+               for _ in range(rng.randrange(1, ctx.M_T + 1))]
+        if rng.random() < 0.5:
+            c = rng.randrange(1, 60)
+            row[0] = Fraction(c if c % ctx.p else c + 1)
+        comps.append(row)
+    return IwasawaElement(ctx, comps), IwasawaElementRef(ctx, comps)
+
+
+def assert_agrees(x, ref):
+    comps = x.components
+    assert comps == ref.components
+    assert all(type(c) is Fraction for row in comps for c in row)
+    assert x == IwasawaElement(x.ctx, ref.components)
+    assert gcd(x.den, *(n for row in x.nums for n in row)) == 1 and x.den > 0
+
+
+class TestOracleAgreement:
+    """Integer numerators over one denominator against the per-coefficient
+    Fraction oracle, bit for bit after every operation."""
+
+    @pytest.mark.parametrize("integral", [True, False])
+    @pytest.mark.parametrize("MT", [1, 2, 8, 32])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_operations(self, p, MT, integral):
+        rng = random.Random(1000 * p + 10 * MT + integral)
+        ctx = IwasawaContext(p, MT, N=8)
+        for _ in range(3):
+            (x, rx), (y, ry) = rand_pair(ctx, rng, integral), rand_pair(ctx, rng, integral)
+            assert_agrees(x, rx)
+            assert_agrees(x + y, rx + ry)
+            assert_agrees(x - y, rx - ry)
+            assert_agrees(x - x, rx - rx)
+            assert_agrees(-x, -rx)
+            for k in (0, 1, -3, p, rng.randrange(-99, 99)):
+                assert_agrees(x * k, rx * k)
+                assert_agrees(k * x, rx * k)
+            for k in (Fraction(1, p), Fraction(-p, 1 + p), Fraction(p, p + 2)):
+                assert_agrees(x * k, rx * k)
+            assert_agrees(x * y, rx * ry)
+            assert_agrees(twist1(x), twist1_ref(rx))
+            assert_agrees(twist_minus1(x), twist_minus1_ref(rx))
+            i = rng.randrange(p - 1)
+            e, re = idempotent(ctx, i), IwasawaElementRef.from_component(ctx, i, [1])
+            assert_agrees(e, re)
+            assert_agrees(e * x, re * rx)
+            assert eval_at_zero(x) == rx.components[0][0]
+            for t0 in (0, p, Fraction(1, p), Fraction(-2, 1 + p)):
+                assert (evaluate_component(x, i, t0)
+                        == evaluate_component_ref(rx, i, t0))
+            assert x.is_integral() == rx.is_integral()
+            assert x.max_denominator_vp() == rx.max_denominator_vp()
+            for z, rz in ((x, rx), (x * y, rx * ry)):
+                if rz.is_integral():
+                    assert is_lambda_unit(z) == is_lambda_unit_ref(rz)
+                else:
+                    with pytest.raises(NotIntegral):
+                        is_lambda_unit(z)
+                    with pytest.raises(NotIntegral):
+                        is_lambda_unit_ref(rz)
+        for j in (-2, 0, 3):
+            assert_agrees(ell(ctx, j), ell_ref(ctx, j))
+
+
+class TestCanonicalForm:
+    def test_equal_values_equal_and_hash_equal(self):
+        ctx = IwasawaContext(5, 6)
+        a = IwasawaElement(ctx, [[Fraction(2, 4), 3]] * 4)
+        b = IwasawaElement(ctx, [[Fraction(1, 2), 3]] * 4)
+        assert a == b and hash(a) == hash(b)
+        assert (a.den, a.nums) == (2, ((1, 6) + (0,) * 4,) * 4)
+        rng = random.Random(61)
+        for integral in (True, False):
+            x, _ = rand_pair(ctx, rng, integral)
+            same = x * Fraction(ctx.p) * Fraction(1, ctx.p)
+            assert same == x and hash(same) == hash(x)
+            half = x * Fraction(1, 2)
+            assert half + half == x and hash(half + half) == hash(x)
+
+    def test_zero_has_unit_denominator(self):
+        ctx = IwasawaContext(3, 8)
+        assert IwasawaElement.zero(ctx).den == 1
+        x, _ = rand_pair(ctx, random.Random(62), integral=False)
+        assert x.den > 1
+        assert (x - x).den == 1 and x - x == IwasawaElement.zero(ctx)
+        assert (x * 0).den == 1
+
+    def test_twist_inverse_on_non_integral(self):
+        rng = random.Random(63)
+        for p in (3, 7):
+            ctx = IwasawaContext(p, 16)
+            for _ in range(10):
+                x, _ = rand_pair(ctx, rng, integral=False)
+                assert twist1(twist_minus1(x)) == x
+                assert twist_minus1(twist1(x)) == x
+
+    def test_denominator_is_lcm(self):
+        ctx = IwasawaContext(3, 4)
+        x = IwasawaElement(ctx, [[Fraction(1, 6), Fraction(5, 4)], [Fraction(2, 9)]])
+        assert x.den == 36
+        assert x.max_denominator_vp() == 2 and not x.is_integral()

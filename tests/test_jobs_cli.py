@@ -6,10 +6,13 @@ import string
 
 import pytest
 
+import wachlab.cep
 import wachlab.jobs
 from wachlab import ParseError, ValidationError
+from wachlab.cep import cep_check, tam_exponent
 from wachlab.cli import main
-from wachlab.jobs import format_job, generate_corpus, parse_job, run_job
+from wachlab.filmod import dual_twist
+from wachlab.jobs import build_module, format_job, generate_corpus, parse_job, run_job
 
 MINIMAL = """
 p 3
@@ -191,6 +194,47 @@ command tam triv
         assert wach["ok"] is False
         assert report["ok"] is False
         assert rc == 1
+
+    def test_tamagawa_work_once_per_module(self, monkeypatch):
+        # tam and cep share tam_exponent of the module and of its dual twist
+        real, calls = tam_exponent, []
+        def counting(D):
+            calls.append(D)
+            return real(D)
+        monkeypatch.setattr(wachlab.jobs, "tam_exponent", counting)
+        monkeypatch.setattr(wachlab.cep, "tam_exponent", counting)
+        head = RANK2.split("command")[0]
+        for order in (("tam", "cep"), ("cep", "tam"), ("cep", "cep")):
+            calls.clear()
+            job = parse_job(head + "".join(f"command {c} m1\n" for c in order))
+            results = json.loads(run_job(job))["results"]
+            assert len(calls) == 2
+            D = build_module(job, job.modules["m1"])
+            want = {"tam": {"exponent": real(D)},
+                    "cep": dict(cep_check(D).as_dict(),
+                                dual_jumps=list(dual_twist(D, 1).jumps))}
+            for entry in results:
+                assert entry["ok"] and entry["data"] == want[entry["command"]]
+
+    @pytest.mark.parametrize("jumps,shift,row", [(0, 0, 1), (1, 3, 2), (0, -2, 2)])
+    def test_cached_tamagawa_keeps_error_order(self, jumps, shift, row):
+        # H^0 for both commands; both windows fail; only cep's Gamma* window
+        # fails.  A failed tam_exponent is not raised ahead of cep_check's
+        # own checks.
+        doc = (f"p 3\nN 12\n\nmodule x\nrank 1\njumps {jumps}\nshift {shift}\n"
+               f"row {row}\nendmodule\n\ncommand tam x\ncommand cep x\n")
+        job = parse_job(doc)
+        D = build_module(job, job.modules["x"])
+        tam, cep = json.loads(run_job(job))["results"]
+        for entry, direct in ((tam, lambda: {"exponent": tam_exponent(D)}),
+                              (cep, lambda: cep_check(D).as_dict())):
+            try:
+                want = direct()
+            except Exception as exc:
+                assert entry["error"] == {"type": type(exc).__name__,
+                                          "reason": str(exc)}
+            else:
+                assert want.items() <= entry["data"].items()
 
     def test_byte_determinism(self):
         job1 = parse_job(RANK2)
