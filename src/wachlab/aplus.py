@@ -8,6 +8,12 @@ mu = p/(q - pi^{p-1}) (a unit) are constructed exactly, with no precision
 loss anywhere: binomial coefficients of integer exponents are computed as
 exact integers before reduction.
 
+A series holds its coefficients in the flat coordinate format of
+`_kernel.py` (order * f ints in [0, p^N)); `raw()` returns them and `coeffs`
+is the `OFElement` view at the API boundary.  Products go through the packed
+kernel at every order and every f, and phi and gamma are one kernel linear
+combination each, against a cached table of the images of x^a pi^k.
+
 Truncation order is carried per value; binary operations require equal
 contexts and truncate to the smaller order.
 """
@@ -16,10 +22,7 @@ from __future__ import annotations
 
 from .errors import ExactDivisionFailure, NotAUnit
 from ._kernel import get_kernel
-from .padic import OFElement, PrecisionContext, frobenius
-
-#: below this truncation order the naive convolution beats packing overhead
-_KERNEL_MIN_ORDER = 16
+from .padic import OFElement, PrecisionContext
 
 
 def binomial_exact(c: int, k: int) -> int:
@@ -41,28 +44,51 @@ def binomial_column(c: int, kmax: int, modulus: int) -> list[int]:
     return out
 
 
-class APlusSeries:
-    """Truncated power series over O_F: exactly `order` coefficients, index i
-    holding the coefficient of pi^i."""
+def series_kernel(ctx: PrecisionContext, order: int):
+    """The packed kernel for series of this context truncated at pi^order."""
+    return get_kernel(ctx.p, ctx.N, order, ctx.modulus)
 
-    __slots__ = ("ctx", "order", "coeffs")
+
+class APlusSeries:
+    """Truncated power series over O_F: exactly `order` coefficients, the
+    coefficient of pi^i at index i of `coeffs`."""
+
+    __slots__ = ("ctx", "order", "_data")
 
     def __init__(self, ctx: PrecisionContext, order: int, coeffs=()):
+        """coeffs: the leading coefficients, each an int, an OFElement or
+        its coordinate vector; the rest are 0."""
         if order < 1:
             raise ValueError("truncation order must be >= 1")
         self.ctx = ctx
         self.order = order
-        items = list(coeffs)
-        if len(items) > order:
-            items = items[:order]
-        out = []
-        for c in items:
-            out.append(c if isinstance(c, OFElement) else OFElement(ctx, c))
-        while len(out) < order:
-            out.append(OFElement(ctx, 0))
-        self.coeffs = tuple(out)
+        pN, pad = ctx.pN, (0,) * (ctx.f - 1)
+        data = []
+        for c in list(coeffs)[:order]:
+            if isinstance(c, int):
+                data.append(c % pN)
+                data.extend(pad)
+            else:
+                data.extend((c if isinstance(c, OFElement) else OFElement(ctx, c)).coeffs)
+        data.extend([0] * (order * ctx.f - len(data)))
+        self._data = data
+
+    @classmethod
+    def _of(cls, ctx, order, data):
+        """Wrap flat coordinates without copying or checking them."""
+        s = cls.__new__(cls)
+        s.ctx, s.order, s._data = ctx, order, data
+        return s
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_raw(cls, ctx, order, data):
+        """The series with flat coordinates `data`, as returned by raw()."""
+        data = [int(x) % ctx.pN for x in data]
+        if len(data) != order * ctx.f:
+            raise ValueError(f"expected {order * ctx.f} coordinates, got {len(data)}")
+        return cls._of(ctx, order, data)
 
     @classmethod
     def zero(cls, ctx, order):
@@ -82,27 +108,33 @@ class APlusSeries:
 
     # -- views ----------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as OFElements (built on each access)."""
+        f, data = self.ctx.f, self._data
+        return tuple(OFElement(self.ctx, data[i:i + f]) for i in range(0, len(data), f))
+
+    def raw(self) -> list:
+        """The flat coordinates: order * f ints in [0, p^N) (a copy)."""
+        return list(self._data)
+
     def constant_term(self) -> OFElement:
-        return self.coeffs[0]
+        return OFElement(self.ctx, self._data[:self.ctx.f])
 
     def pi_valuation(self) -> int | None:
         """Index of the first coefficient nonzero at precision; None if all are 0."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
+        for j, x in enumerate(self._data):
+            if x:
+                return j // self.ctx.f
         return None
 
     def is_unit(self) -> bool:
-        return self.coeffs[0].is_unit()
+        return self.constant_term().is_unit()
 
     def truncate(self, order: int) -> "APlusSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return APlusSeries(self.ctx, order, self.coeffs[:order])
-
-    def raw(self) -> list:
-        """Coefficient data as ints (f = 1) for the packed kernel."""
-        return [c.coeffs[0] for c in self.coeffs]
+        return APlusSeries._of(self.ctx, order, self._data[:order * self.ctx.f])
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -117,8 +149,9 @@ class APlusSeries:
         if isinstance(other, (int, OFElement)):
             return self + APlusSeries.constant(self.ctx, self.order, other)
         n = self._binop_order(other)
-        return APlusSeries(self.ctx, n,
-                           [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
+        pN = self.ctx.pN
+        return APlusSeries._of(self.ctx, n, [(x + y) % pN for x, y in
+                                             zip(self._data, other._data)])
 
     __radd__ = __add__
 
@@ -126,34 +159,30 @@ class APlusSeries:
         if isinstance(other, (int, OFElement)):
             return self - APlusSeries.constant(self.ctx, self.order, other)
         n = self._binop_order(other)
-        return APlusSeries(self.ctx, n,
-                           [a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
+        pN = self.ctx.pN
+        return APlusSeries._of(self.ctx, n, [(x - y) % pN for x, y in
+                                             zip(self._data, other._data)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return APlusSeries(self.ctx, self.order, [-c for c in self.coeffs])
+        pN = self.ctx.pN
+        return APlusSeries._of(self.ctx, self.order, [-x % pN for x in self._data])
 
     def __mul__(self, other):
-        if isinstance(other, (int, OFElement)):
-            o = other if isinstance(other, OFElement) else OFElement(self.ctx, other)
-            return APlusSeries(self.ctx, self.order, [c * o for c in self.coeffs])
-        n = self._binop_order(other)
         ctx = self.ctx
-        if ctx.f == 1 and n >= _KERNEL_MIN_ORDER:
-            ker = get_kernel(ctx.p, ctx.N, n)
-            out = ker.unpack(ker.mul(ker.pack(self.raw()[:n]), ker.pack(other.raw()[:n])))
-            return APlusSeries(ctx, n, out)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n):
-            acc = ctx.zero_raw()
-            for i in range(k + 1):
-                ai, bj = a[i], b[k - i]
-                acc = ctx.add_raw(acc, ctx.mul_raw(ai.coeffs, bj.coeffs))
-            out.append(OFElement(ctx, acc))
-        return APlusSeries(ctx, n, out)
+        if isinstance(other, int):
+            pN = ctx.pN
+            return APlusSeries._of(ctx, self.order, [x * other % pN for x in self._data])
+        if isinstance(other, OFElement):
+            ker = series_kernel(ctx, self.order)
+            return APlusSeries._of(ctx, self.order, ker.unpack(
+                ker.scalar(other.coeffs) * ker.pack(self._data)))
+        n = self._binop_order(other)
+        ker = series_kernel(ctx, n)
+        return APlusSeries._of(ctx, n, ker.unpack(
+            ker.mul(ker.pack(self._data), ker.pack(other._data))))
 
     __rmul__ = __mul__
 
@@ -171,16 +200,16 @@ class APlusSeries:
 
     def __eq__(self, other):
         return (isinstance(other, APlusSeries) and other.ctx == self.ctx
-                and other.order == self.order and other.coeffs == self.coeffs)
+                and other.order == self.order and other._data == self._data)
 
     def __hash__(self):
-        return hash((self.ctx, self.order, self.coeffs))
+        return hash((self.ctx, self.order, tuple(self._data)))
 
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs[:8]):
             if not c.is_zero():
-                val = c.coeffs[0] if self.ctx.f == 1 else list(c.coeffs)
+                val = list(c.coeffs) if any(c.coeffs[1:]) else c.coeffs[0]
                 terms.append(f"{val}*pi^{i}" if i else f"{val}")
         body = " + ".join(terms) if terms else "0"
         return f"APlus({body} + O(pi^{self.order}))"
@@ -197,22 +226,11 @@ def _subst_coeffs(ctx, c: int, order: int) -> list[int]:
     return col
 
 
-def substitute(s: APlusSeries, g: APlusSeries) -> APlusSeries:
-    """s(g) for g with positive pi-valuation; generic Horner evaluation."""
-    if g.pi_valuation() == 0:
-        raise ValueError("substitution target must have positive pi-valuation")
-    n = min(s.order, g.order)
-    acc = APlusSeries.zero(s.ctx, n)
-    for c in reversed(s.coeffs[:n]):
-        acc = acc * g.truncate(n) + c
-    return acc
-
-
 def phi_table(ctx: PrecisionContext, order: int) -> list[int]:
-    """Packed powers of phi(pi) = (1+pi)^p - 1 modulo pi^order (f = 1): the
-    table every packed Frobenius substitutes with."""
-    ker = get_kernel(ctx.p, ctx.N, order)
-    return ker.power_table(("phi",), lambda: _subst_coeffs(ctx, ctx.p, order))
+    """The packed images sigma(x)^a phi(pi)^k of the basis x^a pi^k modulo
+    pi^order: the table every Frobenius substitutes with."""
+    return series_kernel(ctx, order).power_table(
+        ("phi",), lambda: _subst_coeffs(ctx, ctx.p, order), ctx._frobenius_powers)
 
 
 def phi_series(s: APlusSeries) -> APlusSeries:
@@ -220,14 +238,9 @@ def phi_series(s: APlusSeries) -> APlusSeries:
 
     phi(pi) has pi-valuation 1, so the truncation order is preserved.
     """
-    ctx = s.ctx
-    if ctx.f == 1:
-        ker = get_kernel(ctx.p, ctx.N, s.order)
-        return APlusSeries(ctx, s.order,
-                           ker.unpack(ker.combo(s.raw(), phi_table(ctx, s.order))))
-    g = APlusSeries(ctx, s.order, _subst_coeffs(ctx, ctx.p, s.order))
-    twisted = APlusSeries(ctx, s.order, [frobenius(c) for c in s.coeffs])
-    return substitute(twisted, g)
+    ker = series_kernel(s.ctx, s.order)
+    return APlusSeries._of(s.ctx, s.order,
+                           ker.unpack(ker.combo(s._data, phi_table(s.ctx, s.order))))
 
 
 def gamma_series(s: APlusSeries, c: int) -> APlusSeries:
@@ -243,12 +256,9 @@ def gamma_series(s: APlusSeries, c: int) -> APlusSeries:
         raise NotAUnit(f"character value {c} is divisible by p={ctx.p}")
     if c == 1:
         return s
-    if ctx.f == 1:
-        ker = get_kernel(ctx.p, ctx.N, s.order)
-        table = ker.power_table(("gamma", c), lambda: _subst_coeffs(ctx, c, s.order))
-        return APlusSeries(ctx, s.order, ker.unpack(ker.combo(s.raw(), table)))
-    g = APlusSeries(ctx, s.order, _subst_coeffs(ctx, c, s.order))
-    return substitute(s, g)
+    ker = series_kernel(ctx, s.order)
+    table = ker.power_table(("gamma", c), lambda: _subst_coeffs(ctx, c, s.order))
+    return APlusSeries._of(ctx, s.order, ker.unpack(ker.combo(s._data, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +285,15 @@ def mu_series(ctx: PrecisionContext, order: int) -> APlusSeries:
 
 def q_mu_series(ctx: PrecisionContext, order: int) -> APlusSeries:
     """q*mu = p + pi^{p-1}*mu, exactly (the defining identity of mu)."""
-    mu = mu_series(ctx, order)
-    out = [OFElement(ctx, ctx.p) if i == 0 else OFElement(ctx, 0) for i in range(order)]
-    for i in range(order - (ctx.p - 1)):
-        out[i + ctx.p - 1] = out[i + ctx.p - 1] + mu.coeffs[i]
-    return APlusSeries(ctx, order, out)
+    mu_shifted = shift_pi(mu_series(ctx, order), ctx.p - 1).truncate(order)
+    return mu_shifted + ctx.p
 
 
 def shift_pi(s: APlusSeries, k: int) -> APlusSeries:
     """Multiply by pi^k exactly: the result is known to order s.order + k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return APlusSeries(s.ctx, s.order + k, (OFElement(s.ctx, 0),) * k + s.coeffs)
+    return APlusSeries._of(s.ctx, s.order + k, [0] * (k * s.ctx.f) + s._data)
 
 
 def exact_div_pi(s: APlusSeries, k: int) -> APlusSeries:
@@ -296,36 +303,28 @@ def exact_div_pi(s: APlusSeries, k: int) -> APlusSeries:
         raise ValueError("k must be >= 1")
     if s.order <= k:
         raise ValueError("truncation order too small to divide")
-    for i in range(k):
-        if not s.coeffs[i].is_zero():
-            raise ExactDivisionFailure(
-                f"coefficient of pi^{i} is nonzero at precision")
-    return APlusSeries(s.ctx, s.order - k, s.coeffs[k:])
+    v = s.pi_valuation()
+    if v is not None and v < k:
+        raise ExactDivisionFailure(f"coefficient of pi^{v} is nonzero at precision")
+    return APlusSeries._of(s.ctx, s.order - k, s._data[k * s.ctx.f:])
 
 
 def invert_series(s: APlusSeries) -> APlusSeries:
-    """Multiplicative inverse; requires a unit constant term."""
+    """Multiplicative inverse; requires a unit constant term.
+
+    b_n = -a_0^{-1} sum_{i >= 1} a_i b_{n-i}, on kernel scalars."""
     ctx = s.ctx
     if not s.is_unit():
         raise NotAUnit("constant term is not a unit of O_F")
-    a0inv = s.coeffs[0].unit_inverse()
-    if ctx.f == 1:
-        # b_n = -a0^{-1} sum_{i>=1} a_i b_{n-i}, on raw ints
-        pN = ctx.pN
-        a = s.raw()
-        inv0 = a0inv.coeffs[0]
-        b = [inv0] + [0] * (s.order - 1)
-        for n in range(1, s.order):
-            acc = 0
-            for i in range(1, n + 1):
-                if a[i]:
-                    acc += a[i] * b[n - i]
-            b[n] = (-inv0 * acc) % pN
-        return APlusSeries(ctx, s.order, b)
-    b = [a0inv]
+    ker = series_kernel(ctx, s.order)
+    inv0 = s.constant_term().unit_inverse()
+    neg_inv0 = ker.scalar((-inv0).coeffs)
+    a = ker.scalars(s._data)
+    b = [ker.scalar(inv0.coeffs)] + [0] * (s.order - 1)
     for n in range(1, s.order):
-        acc = ctx.zero_raw()
+        acc = 0
         for i in range(1, n + 1):
-            acc = ctx.add_raw(acc, ctx.mul_raw(s.coeffs[i].coeffs, b[n - i].coeffs))
-        b.append(OFElement(ctx, ctx.neg_raw(ctx.mul_raw(a0inv.coeffs, acc))))
-    return APlusSeries(ctx, s.order, b)
+            if a[i]:
+                acc += a[i] * b[n - i]
+        b[n] = ker.reduce_scalar(neg_inv0 * ker.reduce_scalar(acc))
+    return APlusSeries._of(ctx, s.order, ker.flat(b))

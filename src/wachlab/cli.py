@@ -26,9 +26,11 @@ def _run_one(path: str, overrides: dict) -> tuple[str, bool]:
     """Report text and ok-flag for one job file; parse failures become a
     structured error report rather than a crash."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         return _error_report(path, "IOError", str(exc)), False
+    except UnicodeDecodeError as exc:
+        return _error_report(path, "ParseError", f"not UTF-8 text: {exc}"), False
     try:
         job = parse_job(text)
         changed = False

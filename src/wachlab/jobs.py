@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import Degenerate, ParseError, PrecisionLoss, ValidationError
+from .aplus import APlusSeries
 from .padic import OFMatrix, PrecisionContext
 from .filmod import (
     CategoryFlags,
@@ -149,6 +150,9 @@ def parse_job(text: str) -> JobDocument:
         elif key in ("p", "f", "n", "m", "mt", "seed"):
             header[key] = _expect_int(parts, 1, lineno)
         elif key == "emit-matrices":
+            if len(parts) < 2:
+                raise ParseError("emit-matrices needs a value", line=lineno,
+                                 field=key)
             header["emit-matrices"] = parts[1].lower() in ("1", "true", "yes")
         else:
             raise ParseError(f"unknown directive '{key}'", line=lineno, field=key)
@@ -288,8 +292,8 @@ def _run_command(job, cmd, D, cache, mod_name):
             cache["wach", mod_name] = gamma_matrix(D, 1 + job.p, job.order())
         W = cache["wach", mod_name]
         phi = D.phi_matrix()
-        p_matches = all(W.P[i][j].constant_term() == phi.entries[i][j]
-                        for i in range(D.d) for j in range(D.d))
+        p_matches = all(W.P[i][j].truncate(1) == APlusSeries.constant(D.ctx, 1, e)
+                        for i, row in enumerate(phi.entries) for j, e in enumerate(row))
         g_identity = _g_congruent_identity(W)
         data = {
             "c": W.c,
@@ -340,16 +344,10 @@ def _once(cache, key, fn, *args):
 
 
 def _g_congruent_identity(W) -> bool:
-    p = W.D.ctx.p
-    for i in range(W.D.d):
-        for j in range(W.D.d):
-            head = W.G[i][j].coeffs[: p - 1]
-            want_const = 1 if i == j else 0
-            if head[0].coeffs[0] != want_const:
-                return False
-            if any(not c.is_zero() for c in head[1:]):
-                return False
-    return True
+    """G == Id mod pi^{p-1}, compared on raw coordinates."""
+    ctx = W.D.ctx
+    return all(g.truncate(ctx.p - 1) == APlusSeries.constant(ctx, ctx.p - 1, int(i == j))
+               for i, row in enumerate(W.G) for j, g in enumerate(row))
 
 
 def _iwasawa_selfcheck(job: JobDocument) -> dict:

@@ -22,11 +22,11 @@ every stored series goes through exact factorizations:
 
 with S and pi_c integral of unit constant term c.
 
-For f = 1 everything between the ingredients and the returned matrices
-stays in the packed kernel (`_kernel.py`).  The solver step uses the shape
-of the iteration matrices, C = A^{-1} Diag(z_{r_i}) with
+Everything between the ingredients and the returned matrices stays in the
+packed kernel (`_kernel.py`), for every residue degree f.  The solver step
+uses the shape of the iteration matrices, C = A^{-1} Diag(z_{r_i}) with
 z_r = q^{p-1-r} rho^r and P = Diag((q mu)^{r_i}) A, over the commutative
-ring (Z/p^N)[pi]/(pi^mh):
+ring (O_F/p^N)[pi]/(pi^mh):
 
     L(H) = C phi(H) P = A^{-1} (W o phi(H)) A,   W_kl = z_{r_k} (q mu)^{r_l},
 
@@ -35,13 +35,11 @@ scalar matrices applied as one multiply-add and one normalize per entry.
 Q is built once per `gamma_matrix` from the tau^r columns, and the residual
 gamma(P) G - phi(G) P and the q-cokernel product are formed on packed
 values; `APlusSeries` objects are made only for the returned P, Q, H, G.
-For f > 1 the same steps run on `APlusSeries` matrices.
 """
 
 from __future__ import annotations
 
 from .errors import CongruenceFailure, NonConvergence
-from ._kernel import get_kernel
 from .aplus import (
     APlusSeries,
     binomial_column,
@@ -53,6 +51,7 @@ from .aplus import (
     phi_table,
     q_mu_series,
     q_series,
+    series_kernel,
     shift_pi,
 )
 from .filmod import FilPhiModule
@@ -95,44 +94,28 @@ def mat_map(A, fn):
 def mat_is_zero(A) -> bool:
     return all(e.pi_valuation() is None for row in A for e in row)
 
-def mat_combined_valuation(A, weight):
-    """min over entries and coefficients of i + weight * v_p(c_i); None when
-    the matrix is 0 at truncation."""
-    best = None
-    for row in A:
-        for s in row:
-            for i, c in enumerate(s.coeffs):
-                if best is not None and i >= best:
-                    break
-                v = c.valuation()
-                if v is None:
-                    continue
-                w = i + weight * v
-                if best is None or w < best:
-                    best = w
-    return best
 
+# -- the same on packed values -------------------------------------------------
 
-# -- the same on coefficient lists (f = 1) -----------------------------------
-
-def _ints(M: OFMatrix):
-    return [[e.coeffs[0] for e in row] for row in M.entries]
+def _scalars(ker, M: OFMatrix):
+    return [[ker.scalar(e.coeffs) for e in row] for row in M.entries]
 
 def _raw(mat):
     return [[s.raw() for s in row] for row in mat]
 
 def _series(ctx, order, mat):
-    return [[APlusSeries(ctx, order, e) for e in row] for row in mat]
+    return [[APlusSeries.from_raw(ctx, order, e) for e in row] for row in mat]
 
-def _difference_valuation(pairs, p, pN, weight):
-    """min over coefficient-list pairs (a, b) and indices i of
-    i + weight * v_p(a_i - b_i); None when every pair is equal mod p^N."""
-    best = None
+def _difference_valuation(pairs, ker, weight):
+    """min over pairs (a, b) of flat coordinate lists and coefficient indices
+    i of i + weight * v_p(a_i - b_i); None when every pair is equal mod p^N."""
+    p, pN, f = ker.p, ker.pN, ker.f
+    best = limit = None  # limit: the first flat index past coefficient best
     for a, b in pairs:
         if a == b:
             continue
-        for i, (x, y) in enumerate(zip(a, b)):
-            if best is not None and i >= best:
+        for j, (x, y) in enumerate(zip(a, b)):
+            if limit is not None and j >= limit:
                 break
             diff = (x - y) % pN
             if diff:
@@ -140,9 +123,9 @@ def _difference_valuation(pairs, p, pN, weight):
                 while diff % p == 0:
                     diff //= p
                     v += 1
-                w = i + weight * v
+                w = j // f + weight * v
                 if best is None or w < best:
-                    best = w
+                    best, limit = w, w * f
     return best
 
 
@@ -172,7 +155,7 @@ class _Ingredients:
         for k in range(1, order + 1):
             ck = col[k] if k < len(col) else 0
             if ck:
-                S = S + power * OFElement(ctx, ck)
+                S = S + power * ck
             if k <= order - 1:
                 power = power * phi_pi
                 if power.pi_valuation() is None:
@@ -191,21 +174,22 @@ class _Ingredients:
         self._packed: dict = {}
 
     def packed(self, name: str, r: int, n: int) -> int:
-        """self.<name>_powers[r] truncated to pi^n, packed (f = 1); cached."""
+        """self.<name>_powers[r] truncated to pi^n, packed; cached."""
         key = (name, r, n)
         v = self._packed.get(key)
         if v is None:
-            ker = get_kernel(self.ctx.p, self.ctx.N, n)
-            v = self._packed[key] = ker.pack(getattr(self, name + "_powers")[r].raw()[:n])
+            ker = series_kernel(self.ctx, n)
+            v = self._packed[key] = ker.pack(
+                getattr(self, name + "_powers")[r].truncate(n).raw())
         return v
 
     def packed_product(self, a, b, n: int) -> int:
         """Cached packed product of two `packed` factors, each an
-        (name, r) pair, modulo pi^n (f = 1)."""
+        (name, r) pair, modulo pi^n."""
         key = (a, b, n)
         v = self._packed.get(key)
         if v is None:
-            ker = get_kernel(self.ctx.p, self.ctx.N, n)
+            ker = series_kernel(self.ctx, n)
             v = self._packed[key] = ker.mul_n(self.packed(*a, n), self.packed(*b, n))
         return v
 
@@ -257,79 +241,28 @@ def compute_Q(D: FilPhiModule, c: int, order: int | None = None):
     """
     ctx = D.ctx
     order = order or default_order(ctx)
-    p = ctx.p
+    p, d, jumps = ctx.p, D.d, D.jumps
     if order <= p - 1:
         raise ValueError(f"order must exceed p-1 = {p - 1}")
     ing = _ingredients(ctx, order, c)
-    for r in sorted(set(D.jumps)):
+    rs = sorted(set(jumps))
+    for r in rs:
         t = ing.tau_powers[r]
-        for i in range(1, p - 1):
-            if not t.coeffs[i].is_zero():
-                raise CongruenceFailure(
-                    f"gamma(P^-1)P != Id mod pi^{p - 1} at jump {r}")
-        if not (t.coeffs[0] - OFElement(ctx, 1)).is_zero():
+        if (t - t.constant_term()).truncate(p - 1).pi_valuation() is not None:
+            raise CongruenceFailure(
+                f"gamma(P^-1)P != Id mod pi^{p - 1} at jump {r}")
+        if t.constant_term() != 1:
             raise CongruenceFailure("gamma(P^-1)P has wrong constant term")
-    ainv = D.A.inverse()
-    d = D.d
-    if ctx.f == 1:
-        # Q_ij = sum over distinct jumps r of s_ij^r (tau^r - 1)/pi^{p-1},
-        # s_ij^r = sum_{k: r_k = r} (A^{-1})_ik A_kj
-        mh = order - (p - 1)
-        ker = get_kernel(p, ctx.N, mh)
-        rs = sorted(set(D.jumps))
-        cols = [ker.pack(ing.tau_powers[r].raw()[p - 1:]) for r in rs]
-        a, b, pN = _ints(ainv), _ints(D.A), ctx.pN
-        return _series(ctx, mh, [[ker.unpack(ker.dot(
-            [sum(a[i][k] * b[k][j] for k in range(d) if D.jumps[k] == r) % pN
-             for r in rs], cols)) for j in range(d)] for i in range(d)])
-    one = APlusSeries.one(ctx, order)
-    wdiag = {r: exact_div_pi(ing.tau_powers[r] - one, p - 1)
-             for r in set(D.jumps)}
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = None
-            for k in range(d):
-                scal = ainv.entries[i][k] * D.A.entries[k][j]
-                term = wdiag[D.jumps[k]] * scal
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-class _Monitor:
-    """Convergence bookkeeping of the fixed-point iteration: the iteration
-    cap, and the stall window on the combined valuation of successive
-    differences."""
-
-    def __init__(self, ctx, d, order):
-        self.window = max(d * ctx.f * ctx.N, 4)
-        self.cap = self.window * ((ctx.p - 1) * ctx.N + order + 2)
-        self.iterations = 0
-        self.best = -1
-        self.stale = 0
-
-    def start(self):
-        self.iterations += 1
-        if self.iterations > self.cap:
-            raise NonConvergence("iteration cap exceeded", reason="cap")
-
-    def converged(self, w) -> bool:
-        """Record the valuation w of the last difference (None: zero)."""
-        if w is None:
-            return True
-        if w > self.best:
-            self.best = w
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale >= self.window:
-                raise NonConvergence(
-                    f"residual valuation stalled at {self.best} for "
-                    f"{self.window} iterations (slope hypothesis violated?)")
-        return False
+    # Q_ij = sum over distinct jumps r of s_ij^r (tau^r - 1)/pi^{p-1},
+    # s_ij^r = sum_{k: r_k = r} (A^{-1})_ik A_kj
+    mh = order - (p - 1)
+    ker = series_kernel(ctx, mh)
+    cols = [ker.pack(exact_div_pi(ing.tau_powers[r] - 1, p - 1).raw()) for r in rs]
+    a, b, zero = D.A.inverse().entries, D.A.entries, OFElement(ctx, 0)
+    return _series(ctx, mh, [[ker.unpack(ker.dot(
+        [ker.scalar(sum((a[i][k] * b[k][j] for k in range(d) if jumps[k] == r),
+                        zero).coeffs) for r in rs], cols))
+        for j in range(d)] for i in range(d)])
 
 
 def solve_H(D: FilPhiModule, c: int, order: int | None = None,
@@ -341,6 +274,7 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
     residual monitor raises NonConvergence when the valuation of successive
     differences fails to improve across a window of d*f*N iterations.
 
+    Each step is H <- Q + A^{-1} (W o phi(H)) A on packed values.
     `initial` overrides the starting matrix (used by the uniqueness tests);
     the fixed point does not depend on it.  `Q` passes compute_Q(D, c,
     order) when the caller already has it.
@@ -351,72 +285,48 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
     order = order or default_order(ctx)
     if Q is None:
         Q = compute_Q(D, c, order)
-    monitor = _Monitor(ctx, D.d, order)
-    if ctx.f == 1:
-        return _solve_packed(D, c, order, Q, initial, monitor)
-    P, C = _iteration_matrices(D, c, order)
-    H = Q if initial is None else initial
-    while True:
-        monitor.start()
-        phiH = mat_map(H, phi_series)
-        Hnew = [[_dot(row, col) for col in zip(*P)] for row in mat_mul(C, phiH)]
-        Hnew = [[q + l for q, l in zip(qrow, lrow)] for qrow, lrow in zip(Q, Hnew)]
-        diff = mat_sub(Hnew, H)
-        H = Hnew
-        if monitor.converged(mat_combined_valuation(diff, ctx.p - 1)):
-            return H, monitor.iterations
-
-
-def _iteration_matrices(D: FilPhiModule, c: int, order: int):
-    """P and the iteration matrix C = q^{p-1} gamma(P^{-1}) = A^{-1} Diag(z_r),
-    integral by the factorization z_r = q^{p-1-r} rho^r, truncated to the
-    order of Q."""
-    ctx = D.ctx
-    ing = _ingredients(ctx, order, c)
-    p = ctx.p
+    p, d, jumps = ctx.p, D.d, D.jumps
     mh = order - (p - 1)
-    ainv = D.A.inverse()
-    z = {r: (ing.q_powers[p - 1 - r] * ing.rho_powers[r]).truncate(mh)
-         for r in set(D.jumps)}
-    d = D.d
-    C = [[ainv.entries[i][j] * z[D.jumps[j]] for j in range(d)] for i in range(d)]
-    P = [[(ing.qmu_powers[D.jumps[i]]).truncate(mh) * D.A.entries[i][j]
-          for j in range(d)] for i in range(d)]
-    return P, C
-
-
-def _solve_packed(D, c, order, Q, initial, monitor):
-    """The f = 1 iteration H <- Q + A^{-1} (W o phi(H)) A on packed values."""
-    ctx = D.ctx
-    p, pN, d, jumps = ctx.p, ctx.pN, D.d, D.jumps
-    mh = order - (p - 1)
-    ker = get_kernel(p, ctx.N, mh)
+    ker = series_kernel(ctx, mh)
     table = phi_table(ctx, mh)
     ing = _ingredients(ctx, order, c)
     z = {r: ing.packed_product(("q", p - 1 - r), ("rho", r), mh) for r in set(jumps)}
     W = [ker.mul_n(z[jumps[k]], ing.packed("qmu", jumps[l], mh))
          for k in range(d) for l in range(d)]
     # L_ij = sum_{k,l} (A^{-1})_ik A_lj X_kl, X = W o phi(H), flattened over (k, l)
-    a, b = _ints(D.A.inverse()), _ints(D.A)
-    mix = [[[a[i][k] * b[l][j] % pN for k in range(d) for l in range(d)]
+    a, b = D.A.inverse().entries, D.A.entries
+    mix = [[[ker.scalar((a[i][k] * b[l][j]).coeffs) for k in range(d) for l in range(d)]
             for j in range(d)] for i in range(d)]
     Qp = [[ker.pack(s.raw()) for s in row] for row in Q]
     if initial is None:
         H = _raw(Q)
     else:
-        H = [[(e.raw() + [0] * mh)[:mh] for e in row] for row in initial]
+        H = [[ker.unpack(ker.pack(e.raw()) & ker.mask) for e in row] for row in initial]
+    window = max(d * ctx.f * ctx.N, 4)
+    cap = window * ((p - 1) * ctx.N + order + 2)
+    best, stale, iterations = -1, 0, 0
     while True:
-        monitor.start()
+        iterations += 1
+        if iterations > cap:
+            raise NonConvergence("iteration cap exceeded", reason="cap")
         X = [ker.mul_n(w, ker.combo(h, table))
              for w, h in zip(W, (h for row in H for h in row))]
         Hnew = [[ker.unpack(ker.dot(mix[i][j], X, Qp[i][j])) for j in range(d)]
                 for i in range(d)]
         w = _difference_valuation(
             ((new, old) for nrow, orow in zip(Hnew, H) for new, old in zip(nrow, orow)),
-            p, pN, p - 1)
+            ker, p - 1)
         H = Hnew
-        if monitor.converged(w):
-            return _series(ctx, mh, H), monitor.iterations
+        if w is None:
+            return _series(ctx, mh, H), iterations
+        if w > best:
+            best, stale = w, 0
+        else:
+            stale += 1
+            if stale >= window:
+                raise NonConvergence(
+                    f"residual valuation stalled at {best} for {window} "
+                    f"iterations (slope hypothesis violated?)")
 
 
 class WachData:
@@ -446,19 +356,12 @@ def gamma_matrix(D: FilPhiModule, c: int, order: int | None = None,
     ctx = D.ctx
     order = order or default_order(ctx)
     ing = _ingredients(ctx, order, c)
-    d = D.d
     P = _assemble_P(D, ing.qmu_powers)
     Q = compute_Q(D, c, order)
     H, iterations = solve_H(D, c, order, initial=initial, Q=Q)
     # G = Id + pi^{p-1} H is known one pi^{p-1}-step beyond H's order
-    if ctx.f == 1:
-        pad = [0] * (ctx.p - 2)
-        G = _series(ctx, order, [[[int(i == j)] + pad + H[i][j].raw()
-                                  for j in range(d)] for i in range(d)])
-    else:
-        ident = mat_identity(ctx, d, order)
-        G = [[g + shift_pi(h, ctx.p - 1) for g, h in zip(grow, hrow)]
-             for grow, hrow in zip(ident, H)]
+    G = [[shift_pi(h, ctx.p - 1) + int(i == j) for j, h in enumerate(row)]
+         for i, row in enumerate(H)]
     rv = relation_valuation(D, c, P, G, order)
     return WachData(D, c, P, Q, H, G, rv, rv is None, iterations, order)
 
@@ -471,24 +374,19 @@ def relation_valuation(D: FilPhiModule, c: int, P, G, order: int):
     ctx = D.ctx
     p, d = ctx.p, D.d
     ing = _ingredients(ctx, order, c)
-    if ctx.f == 1:
-        ker = get_kernel(p, ctx.N, order)
-        A = _ints(D.A)
-        gammaP = [[ker.normalize(ing.packed("nu", D.jumps[i], order) * A[i][j])
-                   for j in range(d)] for i in range(d)]
-        Gc = _raw(G)
-        table = phi_table(ctx, order)
-        lhs = ker.mat_mul(gammaP, [[ker.pack(g) for g in row] for row in Gc], d)
-        rhs = ker.mat_mul([[ker.combo(g, table) for g in row] for row in Gc],
-                          [[ker.pack(s.raw()) for s in row] for row in P], d)
-        return _difference_valuation(
-            ((ker.unpack(x), ker.unpack(y))
-             for xrow, yrow in zip(lhs, rhs) for x, y in zip(xrow, yrow) if x != y),
-            p, ctx.pN, p - 1)
-    gammaP = [[ing.nu_powers[D.jumps[i]] * D.A.entries[i][j] for j in range(d)]
-              for i in range(d)]
-    residual = mat_sub(mat_mul(gammaP, G), mat_mul(mat_map(G, phi_series), P))
-    return mat_combined_valuation(residual, p - 1)
+    ker = series_kernel(ctx, order)
+    A = _scalars(ker, D.A)
+    gammaP = [[ker.normalize(ing.packed("nu", D.jumps[i], order) * A[i][j])
+               for j in range(d)] for i in range(d)]
+    Gc = _raw(G)
+    table = phi_table(ctx, order)
+    lhs = ker.mat_mul(gammaP, [[ker.pack(g) for g in row] for row in Gc], d)
+    rhs = ker.mat_mul([[ker.combo(g, table) for g in row] for row in Gc],
+                      [[ker.pack(s.raw()) for s in row] for row in P], d)
+    return _difference_valuation(
+        ((ker.unpack(x), ker.unpack(y))
+         for xrow, yrow in zip(lhs, rhs) for x, y in zip(xrow, yrow) if x != y),
+        ker, p - 1)
 
 
 def check_cocycle(D: FilPhiModule, c1: int, c2: int,
@@ -513,28 +411,19 @@ def check_q_cokernel(W: WachData) -> bool:
     order = W.order
     ing = _ingredients(ctx, order, W.c)
     r_top = D.jumps[-1]
-    ainv = D.A.inverse()
     d = D.d
-    if ctx.f == 1:
-        # (cand P)_ij = sum_k (A^{-1})_ik (q^{r_top - r_k} mu^{-r_k} P_kj)
-        ker = get_kernel(ctx.p, ctx.N, order)
-        Y = [[ker.mul_n(ing.packed_product(("q", r_top - D.jumps[k]),
-                                           ("muinv", D.jumps[k]), order),
-                        ker.pack(W.P[k][j].raw()))
-              for j in range(d)] for k in range(d)]
-        a = _ints(ainv)
-        top = ing.packed("q", r_top, order)
-        return all(
-            ker.normalize(ker.dot(a[i], [Y[k][j] for k in range(d)]))
-            == (top if i == j else 0)
-            for i in range(d) for j in range(d))
-    cand = [[ainv.entries[i][j] * (ing.q_powers[r_top - D.jumps[j]]
-                                   * ing.muinv_powers[D.jumps[j]])
-             for j in range(d)] for i in range(d)]
-    prod = mat_mul(cand, W.P)
-    target = [[ing.q_powers[r_top] if i == j else APlusSeries.zero(ctx, order)
-               for j in range(d)] for i in range(d)]
-    return mat_is_zero(mat_sub(prod, target))
+    # (cand P)_ij = sum_k (A^{-1})_ik (q^{r_top - r_k} mu^{-r_k} P_kj)
+    ker = series_kernel(ctx, order)
+    Y = [[ker.mul_n(ing.packed_product(("q", r_top - D.jumps[k]),
+                                       ("muinv", D.jumps[k]), order),
+                    ker.pack(W.P[k][j].raw()))
+          for j in range(d)] for k in range(d)]
+    a = _scalars(ker, D.A.inverse())
+    top = ing.packed("q", r_top, order)
+    return all(
+        ker.normalize(ker.dot(a[i], [Y[k][j] for k in range(d)]))
+        == (top if i == j else 0)
+        for i in range(d) for j in range(d))
 
 
 def apply_Ti(W: WachData, i: int):

@@ -5,9 +5,13 @@ determinants by permutation expansion, rational kernel bases by hand-rolled
 elimination, lattice equality through unit minors.  The eliminations over
 O_F / p^N are the earlier separate loops: the characteristic polynomial by
 permutation expansion, and Smith form, determinant and residue rank each
-with its own reduction.  The lattice oracle at the end solves for H, the residual and the q-cokernel product with
-`APlusSeries` matrices: only the series ring and the shared ingredients
-are the library's, none of the packed f = 1 pipeline of `wach.py`.  The
+with its own reduction.  The lattice oracle solves for H and forms the
+residual and the q-cokernel product with matrices of series and two full
+matrix products per step, none of the packed pipeline of `wach.py`.  Its
+series ring is either the library's (`APlusSeries` and the shared
+ingredients) or `SeriesRef`: one `OFElement` per coefficient, the schoolbook
+convolution, Horner substitution and a coefficientwise Frobenius, the object
+arithmetic that the packed kernel replaced for f > 1.  The
 Iwasawa oracle keeps every coefficient as its own `Fraction` and twists by
 Horner substitution T -> a + bT, where the library holds integer numerators
 over one denominator and twists by integer Taylor shifts.
@@ -15,10 +19,11 @@ over one denominator and twists by integer Taylor shifts.
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
-from wachlab.aplus import APlusSeries, exact_div_pi, phi_series, shift_pi
+from wachlab.aplus import APlusSeries, exact_div_pi, gamma_series, phi_series, shift_pi
 from wachlab.errors import NonConvergence, NotIntegral
-from wachlab.padic import OFElement, OFMatrix, vp_fraction
+from wachlab.padic import OFElement, OFMatrix, frobenius, vp_fraction
 from wachlab.wach import _ingredients
 
 
@@ -381,7 +386,152 @@ def stable_rank_ref(M):
 
 
 # ---------------------------------------------------------------------------
-# lattice construction on APlusSeries matrices
+# reference series ring: one OFElement per coefficient
+# ---------------------------------------------------------------------------
+
+class SeriesRef:
+    """A truncated series over O_F as a tuple of OFElement coefficients, with
+    the schoolbook convolution: the object arithmetic that the packed kernel
+    replaced.  Scalars (ints, OFElements) multiply coefficientwise."""
+
+    def __init__(self, ctx, order, coeffs=()):
+        items = [c if isinstance(c, OFElement) else OFElement(ctx, c)
+                 for c in list(coeffs)[:order]]
+        self.ctx, self.order = ctx, order
+        self.coeffs = tuple(items + [OFElement(ctx, 0)] * (order - len(items)))
+
+    def raw(self):
+        """Flat coordinates, the layout of `APlusSeries.raw()`."""
+        return [x for c in self.coeffs for x in c.coeffs]
+
+    def truncate(self, n):
+        return SeriesRef(self.ctx, n, self.coeffs[:n])
+
+    def pi_valuation(self):
+        return next((i for i, c in enumerate(self.coeffs) if not c.is_zero()), None)
+
+    def _lift(self, other):
+        if isinstance(other, SeriesRef):
+            return other
+        return SeriesRef(self.ctx, self.order, [other])
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return SeriesRef(self.ctx, min(self.order, other.order),
+                         [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return SeriesRef(self.ctx, min(self.order, other.order),
+                         [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        ctx = self.ctx
+        if not isinstance(other, SeriesRef):
+            return SeriesRef(ctx, self.order, [c * other for c in self.coeffs])
+        n = min(self.order, other.order)
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for k in range(n):
+            acc = ctx.zero_raw()
+            for i in range(k + 1):
+                acc = ctx.add_raw(acc, ctx.mul_raw(a[i].coeffs, b[k - i].coeffs))
+            out.append(OFElement(ctx, acc))
+        return SeriesRef(ctx, n, out)
+
+
+def _binom(c, k):
+    """C(c, k) for any integer c, exactly."""
+    num = 1
+    for i in range(k):
+        num = num * (c - i) // (i + 1)
+    return num
+
+
+def shift_ref(s, k):
+    return SeriesRef(s.ctx, s.order + k, [0] * k + list(s.coeffs))
+
+
+def div_ref(s, k):
+    assert all(c.is_zero() for c in s.coeffs[:k]), "inexact pi-division"
+    return SeriesRef(s.ctx, s.order - k, s.coeffs[k:])
+
+
+def substitute_ref(s, g):
+    """s(g) for g of positive pi-valuation, by Horner's rule."""
+    n = min(s.order, g.order)
+    acc = SeriesRef(s.ctx, n)
+    for c in reversed(s.coeffs[:n]):
+        acc = acc * g.truncate(n) + c
+    return acc
+
+
+def gamma_ref(s, c):
+    """pi -> (1+pi)^c - 1, trivial on coefficients."""
+    return substitute_ref(s, SeriesRef(s.ctx, s.order,
+                                       [0] + [_binom(c, k) for k in range(1, s.order)]))
+
+
+def phi_ref(s):
+    """sigma on each coefficient, then pi -> (1+pi)^p - 1."""
+    return gamma_ref(SeriesRef(s.ctx, s.order, [frobenius(c) for c in s.coeffs]),
+                     s.ctx.p)
+
+
+def invert_ref(s):
+    """b_n = -a_0^{-1} sum_{i >= 1} a_i b_{n-i} on OFElements."""
+    a = s.coeffs
+    b = [a[0].unit_inverse()]
+    for n in range(1, s.order):
+        acc = OFElement(s.ctx, 0)
+        for i in range(1, n + 1):
+            acc = acc + a[i] * b[n - i]
+        b.append(-(b[0] * acc))
+    return SeriesRef(s.ctx, s.order, b)
+
+
+class IngredientsRef:
+    """The series of `wach._Ingredients` on `SeriesRef`, S = ((1+pi)^{pc} - 1)
+    / ((1+pi)^p - 1) by exact integer polynomial division (c > 0)."""
+
+    def __init__(self, ctx, order, c):
+        assert c > 0
+        p = ctx.p
+        q = SeriesRef(ctx, order, [_binom(p, k + 1) for k in range(p)])
+        mu = invert_ref(SeriesRef(ctx, order, [_binom(p, k + 1) // p for k in range(p - 1)]))
+        qmu = q * mu
+        mu_inv = invert_ref(mu)
+        num = [_binom(p * c, k + 1) for k in range(p * c)]  # ((1+pi)^{pc} - 1)/pi
+        quot = [0] * (len(num) - p + 1)                      # q is monic of degree p-1
+        for k in reversed(range(len(quot))):
+            quot[k] = num[k + p - 1]
+            for j in range(p):
+                num[k + j] -= quot[k] * _binom(p, j + 1)
+        assert not any(num)
+        S = SeriesRef(ctx, order, quot)
+        pi_c = SeriesRef(ctx, order, [_binom(c, k + 1) for k in range(order)])
+        rho = pi_c * invert_ref(S) * gamma_ref(mu_inv, c)
+        for name, s in (("q", q), ("rho", rho), ("tau", rho * mu), ("qmu", qmu),
+                        ("nu", gamma_ref(qmu, c)), ("muinv", mu_inv)):
+            powers = [SeriesRef(ctx, order, [1])]
+            for _ in range(p - 1):
+                powers.append(powers[-1] * s)
+            setattr(self, name + "_powers", powers)
+
+
+#: The series ring a lattice oracle computes in.  LIBRARY: `APlusSeries`, the
+#: packed kernel and the shared ingredients (affordable at every size; the
+#: oracle then differs from `wach.py` in its solver and matrix steps only).
+#: REFERENCE: `SeriesRef` and its own ingredients, none of the kernel (for
+#: small sizes, and for f > 1, where the kernel's layout is what is tested).
+LIBRARY = SimpleNamespace(series=APlusSeries, phi=phi_series, gamma=gamma_series,
+                          ingredients=_ingredients, shift=shift_pi, div=exact_div_pi)
+REFERENCE = SimpleNamespace(series=SeriesRef, phi=phi_ref, gamma=gamma_ref,
+                            ingredients=IngredientsRef, shift=shift_ref, div=div_ref)
+
+
+# ---------------------------------------------------------------------------
+# lattice construction on series matrices
 # ---------------------------------------------------------------------------
 
 def _smat_mul(A, B):
@@ -413,32 +563,36 @@ def _smat_valuation(A, weight):
     return best
 
 
-def lattice_oracle(D, c, order, initial=None):
+def _smat_identity(ring, ctx, d, order):
+    return [[ring.series(ctx, order, [int(i == j)]) for j in range(d)] for i in range(d)]
+
+
+def lattice_oracle(D, c, order, initial=None, ring=LIBRARY):
     """(P, Q, H, G, residual valuation, iterations) for gamma_matrix(D, c,
     order): P = Diag((q mu)^{r_i}) A, Q from A^{-1} Diag(tau^{r_i}) A, the
     iteration H <- Q + C phi(H) P with C = A^{-1} Diag(q^{p-1-r} rho^r) and
     two full matrix products per step, and gamma(P) G - phi(G) P formed
-    entry by entry."""
+    entry by entry, all in `ring`."""
     ctx = D.ctx
     p, d, A = ctx.p, D.d, D.A.entries
-    ing = _ingredients(ctx, order, c)
+    ing = ring.ingredients(ctx, order, c)
     ainv = D.A.inverse().entries
     mh = order - (p - 1)
     P = [[ing.qmu_powers[D.jumps[i]] * A[i][j] for j in range(d)] for i in range(d)]
-    one = APlusSeries.one(ctx, order)
-    w = {r: exact_div_pi(ing.tau_powers[r] - one, p - 1) for r in set(D.jumps)}
+    w = {r: ring.div(ing.tau_powers[r] - 1, p - 1) for r in set(D.jumps)}
     Q = [[_sum_series([w[D.jumps[k]] * (ainv[i][k] * A[k][j]) for k in range(d)])
           for j in range(d)] for i in range(d)]
     z = {r: (ing.q_powers[p - 1 - r] * ing.rho_powers[r]).truncate(mh)
          for r in set(D.jumps)}
-    C = [[ainv[i][j] * z[D.jumps[j]] for j in range(d)] for i in range(d)]
+    C = [[z[D.jumps[j]] * ainv[i][j] for j in range(d)] for i in range(d)]
     Ph = [[e.truncate(mh) for e in row] for row in P]
     window = max(d * ctx.f * ctx.N, 4)
-    H = Q if initial is None else initial
+    H = Q if initial is None else [[ring.series(ctx, e.order, e.coeffs) for e in row]
+                                   for row in initial]
     best, stale, iterations = -1, 0, 0
     while True:
         iterations += 1
-        L = _smat_mul(_smat_mul(C, [[phi_series(h) for h in row] for row in H]), Ph)
+        L = _smat_mul(_smat_mul(C, [[ring.phi(h) for h in row] for row in H]), Ph)
         Hnew = [[q + l for q, l in zip(qrow, lrow)] for qrow, lrow in zip(Q, L)]
         delta = _smat_valuation(_smat_sub(Hnew, H), p - 1)
         H = Hnew
@@ -450,9 +604,9 @@ def lattice_oracle(D, c, order, initial=None):
             stale += 1
             if stale >= window:
                 raise NonConvergence("oracle iteration stalled")
-    G = [[(one if i == j else APlusSeries.zero(ctx, order)) + shift_pi(H[i][j], p - 1)
-          for j in range(d)] for i in range(d)]
-    return P, Q, H, G, residual_oracle(D, c, P, G, order), iterations
+    G = [[e + ring.shift(h, p - 1) for e, h in zip(erow, hrow)]
+         for erow, hrow in zip(_smat_identity(ring, ctx, d, order), H)]
+    return P, Q, H, G, residual_oracle(D, c, P, G, order, ring), iterations
 
 
 def _sum_series(terms):
@@ -462,28 +616,47 @@ def _sum_series(terms):
     return acc
 
 
-def residual_oracle(D, c, P, G, order):
+def residual_oracle(D, c, P, G, order, ring=LIBRARY):
     """Combined valuation of gamma(P) G - phi(G) P, gamma(P) taken as
     Diag(gamma(q mu)^{r_i}) A; None when it vanishes."""
-    ing = _ingredients(D.ctx, order, c)
+    ing = ring.ingredients(D.ctx, order, c)
     gP = [[ing.nu_powers[D.jumps[i]] * D.A.entries[i][j] for j in range(D.d)]
           for i in range(D.d)]
     residual = _smat_sub(_smat_mul(gP, G),
-                         _smat_mul([[phi_series(g) for g in row] for row in G], P))
+                         _smat_mul([[ring.phi(g) for g in row] for row in G], P))
     return _smat_valuation(residual, D.ctx.p - 1)
 
 
-def q_cokernel_oracle(D, c, P, order):
+def q_cokernel_oracle(D, c, P, order, ring=LIBRARY):
     """A^{-1} Diag(q^{r_d - r_i} mu^{-r_i}) P == q^{r_d} Id at truncation."""
-    ing = _ingredients(D.ctx, order, c)
+    ing = ring.ingredients(D.ctx, order, c)
     ainv = D.A.inverse().entries
     r_top, d = D.jumps[-1], D.d
-    cand = [[ainv[i][j] * (ing.q_powers[r_top - D.jumps[j]]
-                           * ing.muinv_powers[D.jumps[j]])
-             for j in range(d)] for i in range(d)]
+    cand = [[(ing.q_powers[r_top - D.jumps[j]] * ing.muinv_powers[D.jumps[j]])
+             * ainv[i][j] for j in range(d)] for i in range(d)]
     prod = _smat_mul(cand, P)
     return all((prod[i][j] - ing.q_powers[r_top] if i == j else prod[i][j])
                .pi_valuation() is None for i in range(d) for j in range(d))
+
+
+def cocycle_oracle(D, c1, c2, order, ring=REFERENCE):
+    """G_{c1 c2} == gamma_{c2}(G_{c1}) G_{c2}, every G from lattice_oracle."""
+    G1, G2, G12 = (lattice_oracle(D, c, order, ring=ring)[3] for c in (c1, c2, c1 * c2))
+    rhs = _smat_mul([[ring.gamma(s, c2) for s in row] for row in G1], G2)
+    return _smat_valuation(_smat_sub(G12, rhs), 1) is None
+
+
+def ti_oracle(D, G, c, i, order, ring=REFERENCE):
+    """apply_Ti on the oracle's G: (1 - c^{-1} g) ... (1 - c^{-(i-1)} g)."""
+    X = _smat_identity(ring, D.ctx, D.d, order)
+    cinv = OFElement(D.ctx, c).unit_inverse()
+    for k in range(i - 1, 0, -1):
+        scal = cinv
+        for _ in range(k - 1):
+            scal = scal * cinv
+        gX = _smat_mul([[ring.gamma(s, c) for s in row] for row in X], G)
+        X = _smat_sub(X, [[s * scal for s in row] for row in gX])
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Series ring layer: actions, q and mu, exact pi-division, inversion.
 
-The packed fast path is checked against a reference convolution written
-here, independent of the library internals.
+The packed kernel is checked against a reference convolution written here
+(f = 1) and against the object arithmetic of `oracles.SeriesRef` (f > 1),
+both independent of the library internals.
 """
 
 import random
 
 import pytest
 
+from oracles import SeriesRef, gamma_ref, invert_ref, phi_ref
 from wachlab import ExactDivisionFailure, NotAUnit, OFElement, PrecisionContext
 from wachlab._kernel import SeriesKernel
 from wachlab.aplus import (
@@ -71,7 +73,7 @@ class TestMulKernel:
                 b = rand_series(ctx, M, rng)
                 assert a * b == ref_mul(a, b)
 
-    def test_small_order_naive_path(self):
+    def test_small_order_product(self):
         ctx = PrecisionContext(3, 6)
         rng = random.Random(5)
         for _ in range(20):
@@ -86,23 +88,117 @@ class TestMulKernel:
         assert (a * b).order == 6
         assert (a + b).order == 6
 
-    def test_headroom_bound(self):
-        for p, N, M in [(3, 1, 1), (3, 20, 80), (5, 20, 156), (7, 20, 240)]:
-            ker = SeriesKernel(p, N, M)
+    @pytest.mark.parametrize("f", (1, 2, 3))
+    def test_headroom_bound(self, f):
+        # (3, 5, 400) needs exactly 32 bits at f = 1, so a bit missing from
+        # the bound at f > 1 leaves the limb too small
+        for p, N, M in [(3, 1, 1), (3, 20, 80), (5, 20, 156), (7, 20, 240), (3, 5, 400)]:
+            ker = SeriesKernel(p, N, M, PrecisionContext(p, N, f).modulus)
             worst = (ker.pN - 1) ** 2
             assert ker.max_terms * worst < 1 << ker.lbits
             assert (ker.max_terms + 1) * worst >= 1 << ker.lbits
-            assert ker.max_terms >= 2 ** ker.HEADROOM_BITS * M
+            assert ker.max_terms >= 2 ** ker.HEADROOM_BITS * M * f
 
-    def test_headroom_guard(self):
-        ker = SeriesKernel(3, 1, 1)  # 16-bit limbs holding values up to 2
-        top = ker.pack([2])
-        n = ker.max_terms - 1  # the accumulator takes the last term
-        assert ker.unpack(ker.dot([2] * n, [top] * n, top)) == [(4 * n + 2) % 3]
+    @pytest.mark.parametrize("f", (1, 2, 3))
+    def test_headroom_guard(self, f):
+        # 16-bit limbs holding coordinates up to 2; every coordinate at its
+        # maximum, so the middle limb of a slot takes f products per term
+        ctx = PrecisionContext(3, 1, f)
+        ker = SeriesKernel(3, 1, 1, ctx.modulus)
+        top, two = ker.pack([2] * f), ker.scalar([2] * f)
+        n = (ker.max_terms - 1) // f  # the accumulator takes the last term
+        e = OFElement(ctx, [2] * f)
+        want = list((e * e * n + e).coeffs)
+        assert ker.unpack(ker.dot([two] * n, [top] * n, top)) == want
         with pytest.raises(OverflowError):
-            ker.dot([2] * (n + 1), [top] * (n + 1), top)
+            ker.dot([two] * (n + 1), [top] * (n + 1), top)
         with pytest.raises(OverflowError):
-            ker.mat_mul(None, None, ker.max_terms // ker.M + 1)
+            ker.mat_mul(None, None, ker.max_terms // (ker.M * f) + 1)
+
+
+def rand_ref(ctx, order, rng, unit=False):
+    """A SeriesRef with uniformly random O_F coefficients."""
+    while True:
+        s = SeriesRef(ctx, order, [tuple(rng.randrange(ctx.pN) for _ in range(ctx.f))
+                                   for _ in range(order)])
+        if not unit or s.coeffs[0].is_unit():
+            return s
+
+
+def lib(s):
+    """The APlusSeries with the coefficients of a SeriesRef."""
+    return APlusSeries(s.ctx, s.order, s.coeffs)
+
+
+class TestUnramifiedKernel:
+    """The packed layout for f > 1 (f coordinates in a slot of 2f - 1 limbs)
+    against the object arithmetic of `oracles.SeriesRef`, bit for bit."""
+
+    CASES = [(3, 4, 2, 12), (3, 6, 3, 20), (5, 5, 2, 40), (7, 3, 2, 30)]
+
+    @pytest.mark.parametrize("p,N,f,M", CASES)
+    def test_product(self, p, N, f, M):
+        ctx = PrecisionContext(p, N, f)
+        rng = random.Random(f"mul/{p}/{N}/{f}")
+        for _ in range(3):
+            a, b = rand_ref(ctx, M, rng), rand_ref(ctx, M, rng)
+            assert (lib(a) * lib(b)).raw() == (a * b).raw()
+            assert (lib(a) * lib(b).truncate(M - 3)).raw() == (a * b.truncate(M - 3)).raw()
+
+    @pytest.mark.parametrize("p,N,f,M", CASES)
+    def test_phi(self, p, N, f, M):
+        ctx = PrecisionContext(p, N, f)
+        rng = random.Random(f"phi/{p}/{N}/{f}")
+        for _ in range(2):
+            s = rand_ref(ctx, M, rng)
+            assert phi_series(lib(s)).raw() == phi_ref(s).raw()
+
+    @pytest.mark.parametrize("p,N,f,M", CASES)
+    def test_gamma(self, p, N, f, M):
+        ctx = PrecisionContext(p, N, f)
+        rng = random.Random(f"gamma/{p}/{N}/{f}")
+        for c in (1 + p, 2, -1):
+            s = rand_ref(ctx, M, rng)
+            assert gamma_series(lib(s), c).raw() == gamma_ref(s, c).raw()
+
+    @pytest.mark.parametrize("p,N,f,M", CASES)
+    def test_invert(self, p, N, f, M):
+        ctx = PrecisionContext(p, N, f)
+        rng = random.Random(f"inv/{p}/{N}/{f}")
+        for _ in range(3):
+            s = rand_ref(ctx, M, rng, unit=True)
+            assert invert_series(lib(s)).raw() == invert_ref(s).raw()
+
+    @pytest.mark.parametrize("p,N,f,M", CASES)
+    def test_scalar_dot(self, p, N, f, M):
+        # sum_k x_k s_k with O_F scalars x_k: one kernel multiply-add, and
+        # the scalar multiple of a series
+        ctx = PrecisionContext(p, N, f)
+        rng = random.Random(f"dot/{p}/{N}/{f}")
+        ker = SeriesKernel(p, N, M, ctx.modulus)
+        xs = [OFElement(ctx, [rng.randrange(ctx.pN) for _ in range(f)]) for _ in range(5)]
+        ss = [rand_ref(ctx, M, rng) for _ in range(5)]
+        got = ker.unpack(ker.dot([ker.scalar(x.coeffs) for x in xs],
+                                 [ker.pack(s.raw()) for s in ss]))
+        want = ss[0] * xs[0]
+        for x, s in zip(xs[1:], ss[1:]):
+            want = want + s * x
+        assert got == want.raw()
+        assert (lib(ss[0]) * xs[0]).raw() == (ss[0] * xs[0]).raw()
+
+    @pytest.mark.parametrize("f", (1, 2, 3))
+    def test_raw_round_trip(self, f):
+        ctx = PrecisionContext(5, 4, f)
+        s = lib(rand_ref(ctx, 9, random.Random(f)))
+        data = s.raw()
+        assert len(data) == 9 * f
+        assert data == [x for c in s.coeffs for x in c.coeffs]
+        assert APlusSeries.from_raw(ctx, 9, data) == s
+        assert APlusSeries(ctx, 9, s.coeffs) == s
+        data[0] += 1  # raw() is a copy
+        assert s.raw() != data
+        with pytest.raises(ValueError):
+            APlusSeries.from_raw(ctx, 8, data)
 
 
 class TestPhi:

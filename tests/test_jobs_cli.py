@@ -90,6 +90,12 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_job(MINIMAL.replace("M 20", "M 2"))
 
+    def test_emit_matrices_needs_value(self):
+        doc = "p 3\nemit-matrices\nmodule a\nrank 1\njumps 0\nrow 1\nendmodule\ncommand check a\n"
+        with pytest.raises(ParseError) as err:
+            parse_job(doc)
+        assert err.value.line == 2
+
     def test_format_roundtrip(self):
         job = parse_job(RANK2)
         again = parse_job(format_job(job))
@@ -325,6 +331,24 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert out["error"]["type"] == "ParseError"
+
+    def test_emit_matrices_without_value_is_structured(self, tmp_path, capsys):
+        f = tmp_path / "bad.wach"
+        f.write_text("p 3\nemit-matrices\nmodule a\nrank 1\njumps 0\nrow 1\n"
+                     "endmodule\ncommand check a\n")
+        rc = main(["run", str(f)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert out["error"]["type"] == "ParseError" and out["error"]["line"] == 2
+
+    def test_non_utf8_file_is_structured(self, tmp_path, capsys):
+        f = tmp_path / "bad.wach"
+        f.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        rc = main(["run", str(f)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 1 and out["ok"] is False
+        assert out["error"]["type"] == "ParseError"
+        assert "UTF-8" in out["error"]["reason"]
 
     def test_bad_override_is_structured(self, tmp_path, capsys):
         f = tmp_path / "job.wach"

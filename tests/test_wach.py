@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from oracles import lattice_oracle, q_cokernel_oracle, residual_oracle
+from oracles import (
+    REFERENCE,
+    SeriesRef,
+    cocycle_oracle,
+    lattice_oracle,
+    q_cokernel_oracle,
+    residual_oracle,
+    ti_oracle,
+)
 from wachlab import NonConvergence, OFElement, OFMatrix, PrecisionContext
 from wachlab.aplus import (
     APlusSeries,
@@ -15,6 +23,7 @@ from wachlab.aplus import (
     phi_series,
     q_mu_series,
     q_series,
+    series_kernel,
 )
 from wachlab import wach
 from wachlab.filmod import FilPhiModule, top_slope_absent, unit_root_rank
@@ -42,9 +51,11 @@ def module(p, N, jumps, A):
 
 
 def eligible_random(ctx, d, rng, want="unit_root"):
+    """A random eligible module; its entries have f random coordinates each."""
     while True:
         jumps = sorted(rng.randrange(ctx.p) for _ in range(d))
-        A = OFMatrix(ctx, [[rng.randrange(ctx.pN) for _ in range(d)] for _ in range(d)])
+        A = OFMatrix(ctx, [[tuple(rng.randrange(ctx.pN) for _ in range(ctx.f))
+                            for _ in range(d)] for _ in range(d)])
         if not A.det().is_unit():
             continue
         D = FilPhiModule(ctx, jumps, A)
@@ -239,8 +250,7 @@ class TestQCokernel:
 
 class TestUnramifiedExtension:
     def test_f2_rank_one_relation(self):
-        # exercises the generic (non-packed) path with a genuinely semilinear
-        # Frobenius on the coefficients
+        # a genuinely semilinear Frobenius on the coefficients
         ctx = PrecisionContext(3, 4, f=2)
         x = OFElement(ctx, (1, 1))
         D = FilPhiModule(ctx, [1], OFMatrix(ctx, [[x]]))
@@ -374,3 +384,67 @@ class TestPackedAgainstOracle:
                               W.residual_zero, W.iterations, W.order)
             assert check_q_cokernel(broken) is False
             assert q_cokernel_oracle(D, W.c, P, W.order) is False
+
+
+class TestUnramifiedAgainstOracle:
+    """The packed pipeline for f > 1 (and one small f = 1 case) against the
+    lattice oracle in the object arithmetic of `oracles.SeriesRef`, with its
+    own ingredients and none of the kernel: P, Q, H, G bit-identical, the
+    same residual, iteration count and q-cokernel verdict, over random
+    eligible modules of both eligibility routes."""
+
+    CASES = [(p, N, f, d, want)
+             for p, N, f in ((3, 3, 2), (5, 2, 2), (3, 2, 3), (5, 2, 3))
+             for d, want in ((1, "unit_root"), (3, "unit_root"), (2, "top"))]
+    CASES.append((3, 3, 1, 2, "unit_root"))
+
+    @pytest.mark.parametrize("p,N,f,d,want", CASES)
+    def test_matches_oracle(self, p, N, f, d, want):
+        ctx = PrecisionContext(p, N, f)
+        D = eligible_random(ctx, d, random.Random(f"{p}/{N}/{f}/{d}/{want}"), want)
+        c, order = 1 + p, default_order(ctx)
+        W = gamma_matrix(D, c)
+        P, Q, H, G, rv, iterations = lattice_oracle(D, c, order, ring=REFERENCE)
+        for mine, ref in ((W.P, P), (W.Q, Q), (W.H, H), (W.G, G)):
+            assert raw_matrix(mine) == raw_matrix(ref)
+        assert W.residual_valuation == rv
+        assert W.residual_zero is (rv is None)
+        assert W.iterations == iterations
+        assert check_q_cokernel(W) is q_cokernel_oracle(D, c, P, order, REFERENCE)
+
+    def test_perturbed_G_f2(self):
+        ctx = PrecisionContext(3, 3, 2)
+        D = eligible_random(ctx, 2, random.Random(18))
+        W = gamma_matrix(D, 4)
+        ref = [[SeriesRef(ctx, s.order, s.coeffs) for s in row] for row in W.P]
+        for k in (1, 2 * 2 + 1):  # a second coordinate, then one at pi^2
+            G = bumped(W.G, 0, 1, k)
+            rv = relation_valuation(D, 4, W.P, G, W.order)
+            Gref = [[SeriesRef(ctx, s.order, s.coeffs) for s in row] for row in G]
+            assert rv is not None
+            assert rv == residual_oracle(D, 4, ref, Gref, W.order, REFERENCE)
+
+    def test_cocycle_f2(self):
+        ctx = PrecisionContext(3, 3, 2)
+        D = eligible_random(ctx, 2, random.Random(19))
+        order = default_order(ctx)
+        assert check_cocycle(D, 4, 7, order)
+        assert cocycle_oracle(D, 4, 7, order)
+
+    def test_apply_Ti_f2(self):
+        ctx = PrecisionContext(5, 2, 2)
+        D = eligible_random(ctx, 2, random.Random(20))
+        W = gamma_matrix(D, 6)
+        G = lattice_oracle(D, 6, W.order, ring=REFERENCE)[3]
+        for i in range(1, 5):
+            assert raw_matrix(apply_Ti(W, i)) == raw_matrix(ti_oracle(D, G, 6, i, W.order))
+
+    def test_difference_valuation_f2(self):
+        # flat index k*f + a is coordinate a of the coefficient of pi^k
+        ker = series_kernel(PrecisionContext(3, 4, 2), 4)
+        zero = [0] * 8
+        at_pi2 = [0, 0, 0, 0, 0, 1, 0, 0]  # a unit coordinate of pi^2: 2
+        at_pi1 = [0, 0, 0, 1, 0, 0, 0, 0]  # a unit coordinate of pi^1: 1
+        pairs = [(at_pi2, zero), (at_pi1, zero)]
+        assert wach._difference_valuation(pairs, ker, 2) == 1
+        assert wach._difference_valuation(pairs[:1], ker, 2) == 2
