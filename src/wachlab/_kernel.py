@@ -10,14 +10,23 @@ coordinate and a pi-slot of 2f - 1 limbs per coefficient: the f coordinates
 fill the low limbs and the upper f - 1 limbs of a normalized value are zero.
 A product of two slots is a polynomial in x of degree at most 2f - 2, which
 stays inside its slot, so a series product is one big-integer multiplication
-(multipoint Kronecker substitution, Harvey 2009) and `unpack` reduces each
-slot mod the modulus, then mod p^N.  For f = 1 a slot is a single limb.  An
-O_F scalar packs into f limbs (`scalar`), so scalar multiples and linear
-combinations of packed series are plain integer products and sums.
+(multipoint Kronecker substitution, Harvey 2009).  For f = 1 a slot is a
+single limb.  An O_F scalar packs into f limbs (`scalar`), so scalar
+multiples and linear combinations of packed series are plain integer
+products and sums.
 
 Limbs are sized to absorb a full truncated convolution plus a bounded number
 of accumulated products, which lets matrix products and linear combinations
 sum raw limb data and normalize once.
+
+`normalize` reduces every limb at once with whole-integer operations: a few
+limb-parallel Barrett rounds (Barrett 1986) followed by conditional
+subtractions of p^N that read each limb's free top bit, which leaves every
+limb canonical in [0, p^N).  For f > 1 it then folds the upper f - 1 limbs
+of every slot into the low ones (x^f = -sum m_j x^j for the monic modulus
+sum m_j x^j) one limb position at a time, each fold one shift, one mask and
+one product, and reduces again.  The result is the canonical packed value,
+so packed values compare with `==`, and `unpack` only splits its bytes.
 
 Results are bit-identical to coefficientwise arithmetic in O_F; the test
 suite checks this against independent reference arithmetic.
@@ -25,12 +34,15 @@ suite checks this against independent reference arithmetic.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 
 class SeriesKernel:
     """Arithmetic for one (p, N, M, modulus).  Stateless apart from caches."""
 
     __slots__ = ("p", "N", "M", "modulus", "f", "stride", "pN", "limb", "lbits",
-                 "mask", "max_terms", "_tables")
+                 "mask", "max_terms", "rounds", "subtractions", "_shift", "_R",
+                 "_fold", "_folds", "_full", "_slot", "_slices", "_tables")
 
     #: Accumulation headroom.  A raw product limb sums at most M * f terms
     #: (M along pi, f along x), each a product of two reduced coordinates
@@ -46,15 +58,68 @@ class SeriesKernel:
         self.p, self.N, self.M = p, N, M
         self.modulus = tuple(modulus)
         self.f = f = len(self.modulus) - 1
-        self.stride = 2 * f - 1
-        self.pN = p ** N
-        bits = (2 * (self.pN - 1).bit_length() + max(M * f, 1).bit_length()
+        self.stride = w = 2 * f - 1
+        self.pN = pN = p ** N
+        bits = (2 * (pN - 1).bit_length() + max(M * f, 1).bit_length()
                 + self.HEADROOM_BITS)
         self.limb = (bits + 7) // 8
-        self.lbits = 8 * self.limb
-        self.mask = (1 << (self.lbits * self.stride * M)) - 1
-        self.max_terms = ((1 << self.lbits) - 1) // (self.pN - 1) ** 2
+        self.lbits = lbits = 8 * self.limb
+        self.mask = (1 << (lbits * w * M)) - 1
+        self.max_terms = ((1 << lbits) - 1) // (pN - 1) ** 2
         self._tables: dict = {}
+        # Barrett: with 2^s <= p^N, R = floor(2^{2s} / p^N) and
+        # e = 2^{2s} - R p^N, a limb x = 2^s h + l (l < 2^s) loses q p^N,
+        # q = floor(h R / 2^s) = (h R - r) / 2^s with r < 2^s, and keeps
+        # exactly l + (h e + r p^N) / 2^s.  Rounds run while one saves a
+        # subtraction; each subtraction then lowers the bound by p^N.  The
+        # bound they leave is a few p^N, far below 2^{lbits - 1}, so the top
+        # bit of every limb is free for the subtractions' test.
+        self._shift = s = pN.bit_length() - 1
+        self._R = (1 << 2 * s) // pN
+        e, lo = (1 << 2 * s) - self._R * pN, (1 << s) - 1
+        b, self.rounds = (1 << lbits) - 1, 0
+        while True:
+            nb = lo + (((b >> s) * e + lo * pN) >> s)
+            if nb // pN >= b // pN:
+                break
+            b, self.rounds = nb, self.rounds + 1
+        self.subtractions = b // pN
+        # fold of limb i of a slot: + limb_i * fold << (i - f) limbs, which
+        # adds (-m_j mod p^N) times it at limb i - f + j and clears limb i
+        self._fold = sum((-m % pN) << (j * lbits)
+                         for j, m in enumerate(self.modulus[:f])) - (1 << f * lbits)
+        self._folds = [(i * lbits, (i - f) * lbits) for i in range(w - 1, f - 1, -1)]
+        self._full = self._masks(M)
+        self._slot = self._masks(1)
+        self._slices = [slice((k * w + a) * self.limb, (k * w + a + 1) * self.limb)
+                        for k in range(M) for a in range(f)]
+
+    def _masks(self, slots: int) -> tuple:
+        """Constants of the reduction of `slots` pi-slots: the Barrett
+        quotient mask, the subtraction bias and top bits, and the mask of
+        limb 0 of every slot."""
+        lbits, w, s = self.lbits, self.stride, self._shift
+        ones = ((1 << lbits * w * slots) - 1) // ((1 << lbits) - 1)
+        low = ((1 << lbits * w * slots) - 1) // ((1 << lbits * w) - 1) * ((1 << lbits) - 1)
+        return (ones * ((1 << lbits - s) - 1), ones * ((1 << lbits - 1) - self.pN),
+                ones << lbits - 1, low)
+
+    def _reduce(self, x: int, masks) -> int:
+        """Raw x with every limb brought into [0, p^N)."""
+        quot, bias, top, _ = masks
+        s, R, pN, t = self._shift, self._R, self.pN, self.lbits - 1
+        for _ in range(self.rounds):
+            x -= ((((x >> s) & quot) * R >> s) & quot) * pN
+        for _ in range(self.subtractions):
+            x -= (((x + bias) & top) >> t) * pN
+        return x
+
+    def _canon(self, x: int, masks) -> int:
+        """The canonical packed value of raw x, over the slots of `masks`."""
+        x, low = self._reduce(x, masks), masks[3]
+        for at, to in self._folds:
+            x = self._reduce(x + (((x >> at) & low) * self._fold << to), masks)
+        return x
 
     def _room(self, terms: int):
         """Raise before a sum of `terms` limb terms (each < p^{2N}) could
@@ -84,29 +149,16 @@ class SeriesKernel:
         return [int.from_bytes(data[i * limb:(i + 1) * limb], "little")
                 for i in range(n)]
 
-    def _reduce(self, r: list[int]) -> list[int]:
-        """Coordinates of the x-polynomial r (degree < 2f - 1) mod the
-        modulus, then mod p^N."""
-        m, f, pN = self.modulus, self.f, self.pN
-        for i in range(len(r) - 1, f - 1, -1):
-            c = r[i]
-            if c:
-                for j in range(f):
-                    r[i - f + j] -= c * m[j]
-        return [c % pN for c in r[:f]]
-
     def unpack(self, x: int) -> list[int]:
         """Flat reduced coordinates (M * f of them) of a packed value."""
-        limb, M, pN, w = self.limb, self.M, self.pN, self.stride
-        if w == 1:
-            data = x.to_bytes(limb * M, "little")
-            return [int.from_bytes(data[i * limb:(i + 1) * limb], "little") % pN
-                    for i in range(M)]
-        r = self._limbs(x, w * M)
-        return [c for k in range(0, w * M, w) for c in self._reduce(r[k:k + w])]
+        data = self.normalize(x).to_bytes(self.limb * self.stride * self.M, "little")
+        return list(map(int.from_bytes, map(data.__getitem__, self._slices),
+                        repeat("little")))
 
     def normalize(self, x: int) -> int:
-        return self.pack(self.unpack(x))
+        """The canonical packed value (every coordinate reduced mod p^N and
+        the modulus) of a raw one whose limbs carried nothing."""
+        return self._canon(x, self._full)
 
     # -- O_F scalars -----------------------------------------------------------
 
@@ -132,7 +184,7 @@ class SeriesKernel:
         two reduced scalars, or one such product."""
         if self.f == 1:
             return x % self.pN
-        return self.scalar(self._reduce(self._limbs(x, self.stride)))
+        return self._canon(x, self._slot)
 
     # -- arithmetic on packed values ----------------------------------------
 
@@ -157,7 +209,7 @@ class SeriesKernel:
 
     def combo(self, coeffs, table) -> int:
         """Normalized sum of coeffs[k] * table[k]; table entries normalized
-        packed.
+        packed, those past the end of a short table zero.
 
         This is the substitution workhorse: applying a ring map to a series
         s is combo(flat coordinates of s, images of the basis x^a pi^k)."""
@@ -172,7 +224,11 @@ class SeriesKernel:
         g, twist() the coordinates of t_0 .. t_{f-1} (default x^a, a map
         trivial on O_F), both on a cache miss only.
 
-        g must have pi-valuation >= 1 so that the powers stay triangular."""
+        g must have pi-valuation >= 1 so that the powers stay triangular.
+        Once a power g^k vanishes mod (p^N, pi^M), so do all higher ones:
+        the table stops there, and `combo` reads its missing entries as
+        zero.  For the Frobenius image pi q at M = 2(p-1)N that happens near
+        k = 3(p-1)N/p."""
         table = self._tables.get(key)
         if table is not None:
             return table
@@ -180,7 +236,10 @@ class SeriesKernel:
         g = self.pack([x for c in list(make_coeffs())[:self.M] for x in (c, *pad)])
         table = [self.pack([1])]
         for _ in range(1, self.M):
-            table.append(self.mul_n(table[-1], g))
+            power = self.mul_n(table[-1], g)
+            if not power:
+                break
+            table.append(power)
         if self.f > 1:
             t = ([self.scalar(c) for c in twist()] if twist is not None
                  else [1 << (a * self.lbits) for a in range(self.f)])

@@ -186,18 +186,6 @@ class APlusSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return invert_series(self) ** (-e)
-        result = APlusSeries.one(self.ctx, self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def __eq__(self, other):
         return (isinstance(other, APlusSeries) and other.ctx == self.ctx
                 and other.order == self.order and other._data == self._data)

@@ -37,6 +37,10 @@ from . import iwasawa as iw
 SCHEMA = "wachlab-report/1"
 KNOWN_COMMANDS = ("check", "slopes", "wach", "tam", "cep", "iwasawa-check")
 
+#: Upper bounds on a job's settings, so that no input line can start a
+#: computation that stalls the runner (series work grows as M^2 and more).
+MAX_P, MAX_N, MAX_M, MAX_MT = 997, 200, 2000, 512
+
 # Result fields that must be true for a command to be ok.  The cep verdict
 # is left out: the two exponent forms it compares agree only under both
 # slope conditions.
@@ -147,6 +151,8 @@ def parse_job(text: str) -> JobDocument:
                 if len(parts) != 3:
                     raise ParseError(f"command {name} needs a module", line=lineno)
                 commands.append((name, parts[2]))
+        elif key in header:
+            raise ParseError(f"repeated header key '{key}'", line=lineno, field=key)
         elif key in ("p", "f", "n", "m", "mt", "seed"):
             header[key] = _expect_int(parts, 1, lineno)
         elif key == "emit-matrices":
@@ -193,6 +199,11 @@ def validate_job(job: JobDocument):
         raise ValidationError("pi-truncation M must exceed p-1")
     if job.M_T < 1:
         raise ValidationError("T-truncation MT must be >= 1")
+    for name, value, cap in (("prime p", job.p, MAX_P), ("precision N", job.N, MAX_N),
+                             ("pi-truncation M", job.order(), MAX_M),
+                             ("T-truncation MT", job.M_T, MAX_MT)):
+        if value > cap:
+            raise ValidationError(f"{name} = {value} exceeds the cap {cap}")
     for spec in job.modules.values():
         if spec.rank < 1:
             raise ValidationError(f"module {spec.name}: rank must be >= 1")

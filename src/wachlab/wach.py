@@ -31,13 +31,19 @@ ring (O_F/p^N)[pi]/(pi^mh):
     L(H) = C phi(H) P = A^{-1} (W o phi(H)) A,   W_kl = z_{r_k} (q mu)^{r_l},
 
 with o the entrywise product: d^2 series products per iteration, the two
-scalar matrices applied as one multiply-add and one normalize per entry.
-Q is built once per `gamma_matrix` from the tau^r columns, and the residual
-gamma(P) G - phi(G) P and the q-cokernel product are formed on packed
-values; `APlusSeries` objects are made only for the returned P, Q, H, G.
+scalar matrices applied as one multiply-add and one normalize per entry,
+and each W_kl cached with the ingredients, per jump pair.  Q is built once
+per `gamma_matrix` from the tau^r columns, and the residual
+Diag(nu^{r_i}) (A G) - (phi(G) Diag((q mu)^{r_k})) A, nu = gamma(q mu), and
+the q-cokernel product are formed on packed values; `APlusSeries` objects
+are made only for the returned P, Q, H, G.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from math import gcd
+from operator import add, sub
 
 from .errors import CongruenceFailure, NonConvergence
 from .aplus import (
@@ -108,24 +114,23 @@ def _series(ctx, order, mat):
 
 def _difference_valuation(pairs, ker, weight):
     """min over pairs (a, b) of flat coordinate lists and coefficient indices
-    i of i + weight * v_p(a_i - b_i); None when every pair is equal mod p^N."""
-    p, pN, f = ker.p, ker.pN, ker.f
-    best = limit = None  # limit: the first flat index past coefficient best
+    i of i + weight * v_p(a_i - b_i); None when every pair is equal mod p^N.
+
+    gcd(a_j - b_j, p^N) is p^{v_p} of a coordinate difference, and p^N for an
+    equal coordinate, so a pair costs a few maps over its coordinates."""
+    pN, f = ker.pN, ker.f
+    best = index = None
     for a, b in pairs:
         if a == b:
             continue
-        for j, (x, y) in enumerate(zip(a, b)):
-            if limit is not None and j >= limit:
-                break
-            diff = (x - y) % pN
-            if diff:
-                v = 0
-                while diff % p == 0:
-                    diff //= p
-                    v += 1
-                w = j // f + weight * v
-                if best is None or w < best:
-                    best, limit = w, w * f
+        if index is None:
+            index = [j // f for j in range(len(a))]
+            equal = len(a) + weight * ker.N  # past every true value
+            cost = {ker.p ** v: weight * v for v in range(ker.N)}
+            cost[pN] = equal
+        w = min(map(add, index, map(cost.__getitem__, map(gcd, map(sub, a, b), repeat(pN)))))
+        if w < equal and (best is None or w < best):
+            best = w
     return best
 
 
@@ -148,15 +153,16 @@ class _Ingredients:
         # pi_c = ((1+pi)^c - 1)/pi
         col = binomial_column(c, order, ctx.pN)
         self.pi_c = APlusSeries(ctx, order, col[1:])
-        # S = ((1+pi)^{pc}-1)/((1+pi)^p-1) = sum_{k>=1} C(c,k) (pi q)^{k-1}
+        # S = ((1+pi)^{pc}-1)/((1+pi)^p-1) = sum_{k>=1} C(c,k) (pi q)^{k-1},
+        # a polynomial of degree c - 1 in pi q when c >= 0
         phi_pi = phi_series(APlusSeries.pi(ctx, order))
         S = APlusSeries.zero(ctx, order)
         power = APlusSeries.one(ctx, order)
-        for k in range(1, order + 1):
-            ck = col[k] if k < len(col) else 0
-            if ck:
-                S = S + power * ck
-            if k <= order - 1:
+        kmax = order if c < 0 else min(c, order)
+        for k in range(1, kmax + 1):
+            if col[k]:
+                S = S + power * col[k]
+            if k < kmax:
                 power = power * phi_pi
                 if power.pi_valuation() is None:
                     break
@@ -184,14 +190,18 @@ class _Ingredients:
         return v
 
     def packed_product(self, a, b, n: int) -> int:
-        """Cached packed product of two `packed` factors, each an
-        (name, r) pair, modulo pi^n."""
+        """Cached packed product of two factors modulo pi^n, each an
+        (name, r) pair for `packed` or a pair of factors for
+        `packed_product`."""
         key = (a, b, n)
         v = self._packed.get(key)
         if v is None:
             ker = series_kernel(self.ctx, n)
-            v = self._packed[key] = ker.mul_n(self.packed(*a, n), self.packed(*b, n))
+            v = self._packed[key] = ker.mul_n(self._factor(a, n), self._factor(b, n))
         return v
+
+    def _factor(self, a, n: int) -> int:
+        return self.packed_product(*a, n) if isinstance(a[0], tuple) else self.packed(*a, n)
 
 
 def _powers(s, p):
@@ -290,8 +300,9 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
     ker = series_kernel(ctx, mh)
     table = phi_table(ctx, mh)
     ing = _ingredients(ctx, order, c)
-    z = {r: ing.packed_product(("q", p - 1 - r), ("rho", r), mh) for r in set(jumps)}
-    W = [ker.mul_n(z[jumps[k]], ing.packed("qmu", jumps[l], mh))
+    # W_kl = z_{r_k} (q mu)^{r_l}, z_r = q^{p-1-r} rho^r
+    W = [ing.packed_product((("q", p - 1 - jumps[k]), ("rho", jumps[k])),
+                            ("qmu", jumps[l]), mh)
          for k in range(d) for l in range(d)]
     # L_ij = sum_{k,l} (A^{-1})_ik A_lj X_kl, X = W o phi(H), flattened over (k, l)
     a, b = D.A.inverse().entries, D.A.entries
@@ -362,27 +373,38 @@ def gamma_matrix(D: FilPhiModule, c: int, order: int | None = None,
     # G = Id + pi^{p-1} H is known one pi^{p-1}-step beyond H's order
     G = [[shift_pi(h, ctx.p - 1) + int(i == j) for j, h in enumerate(row)]
          for i, row in enumerate(H)]
-    rv = relation_valuation(D, c, P, G, order)
+    rv = relation_valuation(D, c, G, order)
     return WachData(D, c, P, Q, H, G, rv, rv is None, iterations, order)
 
 
-def relation_valuation(D: FilPhiModule, c: int, P, G, order: int):
+def relation_valuation(D: FilPhiModule, c: int, G, order: int):
     """Combined (p, pi)-valuation of gamma(P) G - phi(G) P at truncation
-    pi^order, None when it vanishes.  P must be build_P(D, order); gamma(P)
-    is substituted directly as Diag(gamma(q mu)^{r_i}) A, and phi(G) with the
-    Frobenius power table."""
+    pi^order, None when it vanishes, for P = build_P(D, order).
+
+    Both sides are formed from the Diag structure of P = Diag((q mu)^{r_i}) A
+    and gamma(P) = Diag(nu^{r_i}) A, nu = gamma(q mu), with phi(G) substituted
+    by the Frobenius power table:
+
+        gamma(P) G = Diag(nu^{r_i}) (A G),
+        phi(G) P = (phi(G) Diag((q mu)^{r_k})) A,
+
+    so each side costs d^2 series products; the products by A are O_F-scalar
+    linear combinations."""
     ctx = D.ctx
-    p, d = ctx.p, D.d
+    p, d, jumps = ctx.p, D.d, D.jumps
     ing = _ingredients(ctx, order, c)
     ker = series_kernel(ctx, order)
     A = _scalars(ker, D.A)
-    gammaP = [[ker.normalize(ing.packed("nu", D.jumps[i], order) * A[i][j])
-               for j in range(d)] for i in range(d)]
     Gc = _raw(G)
     table = phi_table(ctx, order)
-    lhs = ker.mat_mul(gammaP, [[ker.pack(g) for g in row] for row in Gc], d)
-    rhs = ker.mat_mul([[ker.combo(g, table) for g in row] for row in Gc],
-                      [[ker.pack(s.raw()) for s in row] for row in P], d)
+    Gp = [[ker.pack(g) for g in row] for row in Gc]
+    lhs = [[ker.mul_n(ing.packed("nu", jumps[i], order),
+                      ker.normalize(ker.dot(A[i], [Gp[k][j] for k in range(d)])))
+            for j in range(d)] for i in range(d)]
+    phiG = [[ker.mul_n(ker.combo(g, table), ing.packed("qmu", jumps[k], order))
+             for k, g in enumerate(row)] for row in Gc]
+    rhs = [[ker.normalize(ker.dot([A[k][j] for k in range(d)], row))
+            for j in range(d)] for row in phiG]
     return _difference_valuation(
         ((ker.unpack(x), ker.unpack(y))
          for xrow, yrow in zip(lhs, rhs) for x, y in zip(xrow, yrow) if x != y),

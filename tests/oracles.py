@@ -11,7 +11,10 @@ matrix products per step, none of the packed pipeline of `wach.py`.  Its
 series ring is either the library's (`APlusSeries` and the shared
 ingredients) or `SeriesRef`: one `OFElement` per coefficient, the schoolbook
 convolution, Horner substitution and a coefficientwise Frobenius, the object
-arithmetic that the packed kernel replaced for f > 1.  The
+arithmetic that the packed kernel replaced for f > 1.  The packed kernel's
+whole-integer reduction is checked against the per-limb reduction it
+replaced: split the limbs, fold each slot mod the modulus, then `%` p^N
+coordinate by coordinate.  The
 Iwasawa oracle keeps every coefficient as its own `Fraction` and twists by
 Horner substitution T -> a + bT, where the library holds integer numerators
 over one denominator and twists by integer Taylor shifts.
@@ -386,6 +389,45 @@ def stable_rank_ref(M):
 
 
 # ---------------------------------------------------------------------------
+# packed kernel reduction, limb by limb
+# ---------------------------------------------------------------------------
+
+def reduce_slot_ref(ker, r):
+    """Coordinates of the x-polynomial r (degree < 2f - 1) mod the kernel's
+    monic modulus, then mod p^N."""
+    m, f = ker.modulus, ker.f
+    r = list(r)
+    for i in range(len(r) - 1, f - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(f):
+                r[i - f + j] -= c * m[j]
+    return [c % ker.pN for c in r[:f]]
+
+
+def limbs_ref(ker, x, n):
+    """The n limbs of a packed value, low first."""
+    data = x.to_bytes(ker.limb * n, "little")
+    return [int.from_bytes(data[i * ker.limb:(i + 1) * ker.limb], "little")
+            for i in range(n)]
+
+
+def unpack_ref(ker, x):
+    """Flat reduced coordinates of a raw packed value, slot by slot."""
+    w = ker.stride
+    r = limbs_ref(ker, x, w * ker.M)
+    return [c for k in range(0, w * ker.M, w) for c in reduce_slot_ref(ker, r[k:k + w])]
+
+
+def normalize_ref(ker, x):
+    return ker.pack(unpack_ref(ker, x))
+
+
+def reduce_scalar_ref(ker, x):
+    return ker.scalar(reduce_slot_ref(ker, limbs_ref(ker, x, ker.stride)))
+
+
+# ---------------------------------------------------------------------------
 # reference series ring: one OFElement per coefficient
 # ---------------------------------------------------------------------------
 
@@ -490,25 +532,34 @@ def invert_ref(s):
     return SeriesRef(s.ctx, s.order, b)
 
 
+def S_ref(ctx, order, c):
+    """S = ((1+pi)^{pc} - 1) / ((1+pi)^p - 1): for c > 0 by exact integer
+    polynomial division, for c < 0 as -(1+pi)^{pc} S_{-c}."""
+    p = ctx.p
+    if c < 0:
+        return S_ref(ctx, order, -c) * SeriesRef(
+            ctx, order, [-_binom(p * c, k) for k in range(order)])
+    num = [_binom(p * c, k + 1) for k in range(p * c)]  # ((1+pi)^{pc} - 1)/pi
+    quot = [0] * max(len(num) - p + 1, 0)                # q is monic of degree p-1
+    for k in reversed(range(len(quot))):
+        quot[k] = num[k + p - 1]
+        for j in range(p):
+            num[k + j] -= quot[k] * _binom(p, j + 1)
+    assert not any(num)
+    return SeriesRef(ctx, order, quot)
+
+
 class IngredientsRef:
-    """The series of `wach._Ingredients` on `SeriesRef`, S = ((1+pi)^{pc} - 1)
-    / ((1+pi)^p - 1) by exact integer polynomial division (c > 0)."""
+    """The series of `wach._Ingredients` on `SeriesRef`, with S from
+    `S_ref`."""
 
     def __init__(self, ctx, order, c):
-        assert c > 0
         p = ctx.p
         q = SeriesRef(ctx, order, [_binom(p, k + 1) for k in range(p)])
         mu = invert_ref(SeriesRef(ctx, order, [_binom(p, k + 1) // p for k in range(p - 1)]))
         qmu = q * mu
         mu_inv = invert_ref(mu)
-        num = [_binom(p * c, k + 1) for k in range(p * c)]  # ((1+pi)^{pc} - 1)/pi
-        quot = [0] * (len(num) - p + 1)                      # q is monic of degree p-1
-        for k in reversed(range(len(quot))):
-            quot[k] = num[k + p - 1]
-            for j in range(p):
-                num[k + j] -= quot[k] * _binom(p, j + 1)
-        assert not any(num)
-        S = SeriesRef(ctx, order, quot)
+        self.S = S = S_ref(ctx, order, c)
         pi_c = SeriesRef(ctx, order, [_binom(c, k + 1) for k in range(order)])
         rho = pi_c * invert_ref(S) * gamma_ref(mu_inv, c)
         for name, s in (("q", q), ("rho", rho), ("tau", rho * mu), ("qmu", qmu),

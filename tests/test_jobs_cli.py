@@ -90,6 +90,34 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_job(MINIMAL.replace("M 20", "M 2"))
 
+    def test_repeated_header_key(self):
+        # the second p follows the module block and the command, on line 13
+        with pytest.raises(ParseError) as err:
+            parse_job(MINIMAL + "p 5\n")
+        assert err.value.line == 13 and err.value.field == "p"
+        with pytest.raises(ParseError) as err:
+            parse_job("p 3\nemit-matrices true\nemit-matrices false\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("header,name", [
+        ("p 1000003\nN 6", "prime p"),       # the default M would be 12,000,024
+        ("p 1009\nN 1\nM 1500", "prime p"),
+        ("p 3\nN 201\nM 20", "precision N"),
+        ("p 3\nN 8\nM 2001", "pi-truncation M"),
+        ("p 101\nN 20", "pi-truncation M"),   # the default M = 2(p-1)N = 4000
+        ("p 3\nN 8\nM 20\nMT 513", "T-truncation MT"),
+    ])
+    def test_caps(self, header, name):
+        # rejected while validating, before any module is built or run
+        with pytest.raises(ValidationError) as err:
+            parse_job(header + MINIMAL.split("M 20", 1)[1])
+        assert str(err.value).startswith(name + " = ")
+        assert "exceeds the cap" in str(err.value)
+
+    def test_caps_admit_their_bounds(self):
+        job = parse_job("p 997\nN 200\nM 2000\nMT 512" + MINIMAL.split("M 20", 1)[1])
+        assert (job.p, job.N, job.order(), job.M_T) == (997, 200, 2000, 512)
+
     def test_emit_matrices_needs_value(self):
         doc = "p 3\nemit-matrices\nmodule a\nrank 1\njumps 0\nrow 1\nendmodule\ncommand check a\n"
         with pytest.raises(ParseError) as err:

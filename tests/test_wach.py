@@ -11,6 +11,8 @@ from oracles import (
     lattice_oracle,
     q_cokernel_oracle,
     residual_oracle,
+    S_ref,
+    _smat_valuation,
     ti_oracle,
 )
 from wachlab import NonConvergence, OFElement, OFMatrix, PrecisionContext
@@ -26,6 +28,7 @@ from wachlab.aplus import (
     series_kernel,
 )
 from wachlab import wach
+from wachlab._kernel import SeriesKernel
 from wachlab.filmod import FilPhiModule, top_slope_absent, unit_root_rank
 from wachlab.wach import (
     WachData,
@@ -137,6 +140,32 @@ class TestComputeQ:
                       for j in range(D.d)] for i in range(D.d)]
             resid = mat_sub(P, mat_mul(gP, inner))
             assert mat_is_zero(resid)
+
+
+class TestIngredients:
+    @pytest.mark.parametrize("p", (3, 5))
+    @pytest.mark.parametrize("c", ("1+p", 2, -1))
+    def test_S_matches_oracle(self, p, c):
+        # S = ((1+pi)^{pc} - 1)/((1+pi)^p - 1): a polynomial in pi q of
+        # degree c - 1 for c > 0, a full series for c < 0
+        ctx = PrecisionContext(p, 4)
+        c = 1 + p if c == "1+p" else c
+        order = default_order(ctx)
+        assert wach._ingredients(ctx, order, c).S.raw() == S_ref(ctx, order, c).raw()
+
+    def test_solver_weights_cached(self, monkeypatch):
+        # once the ingredients hold W, a solve makes d^2 products per
+        # iteration and none to rebuild W
+        ctx = PrecisionContext(5, 6)
+        D = eligible_random(ctx, 3, random.Random(21))
+        c, order = 6, default_order(ctx)
+        H, _ = solve_H(D, c, order)
+        calls, mul_n = [], SeriesKernel.mul_n
+        monkeypatch.setattr(SeriesKernel, "mul_n",
+                            lambda ker, a, b: calls.append(1) or mul_n(ker, a, b))
+        H2, iterations = solve_H(D, c, order)
+        assert len(calls) == iterations * D.d ** 2
+        assert raw_matrix(H2) == raw_matrix(H)
 
 
 class TestSolveH:
@@ -360,7 +389,7 @@ class TestPackedAgainstOracle:
         W = gamma_matrix(D, 1 + p)
         assert W.residual_zero
         G = bumped(W.G, 0, 0, 0)  # below pi^{p-1}, where G is fixed to Id
-        rv = relation_valuation(D, W.c, W.P, G, W.order)
+        rv = relation_valuation(D, W.c, G, W.order)
         assert rv is not None and rv == residual_oracle(D, W.c, W.P, G, W.order)
         # through gamma_matrix: a wrong H from the solver moves G at pi^{k+p-1}
         true_solve = wach.solve_H
@@ -419,7 +448,7 @@ class TestUnramifiedAgainstOracle:
         ref = [[SeriesRef(ctx, s.order, s.coeffs) for s in row] for row in W.P]
         for k in (1, 2 * 2 + 1):  # a second coordinate, then one at pi^2
             G = bumped(W.G, 0, 1, k)
-            rv = relation_valuation(D, 4, W.P, G, W.order)
+            rv = relation_valuation(D, 4, G, W.order)
             Gref = [[SeriesRef(ctx, s.order, s.coeffs) for s in row] for row in G]
             assert rv is not None
             assert rv == residual_oracle(D, 4, ref, Gref, W.order, REFERENCE)
@@ -438,6 +467,26 @@ class TestUnramifiedAgainstOracle:
         G = lattice_oracle(D, 6, W.order, ring=REFERENCE)[3]
         for i in range(1, 5):
             assert raw_matrix(apply_Ti(W, i)) == raw_matrix(ti_oracle(D, G, 6, i, W.order))
+
+    @pytest.mark.parametrize("f", (1, 2, 3))
+    def test_difference_valuation_matches_oracle(self, f):
+        # random pairs that agree to random (p, pi)-depths, against the
+        # coefficientwise valuation of the series differences
+        ctx = PrecisionContext(3, 5, f)
+        order, rng = 12, random.Random(f)
+        ker = series_kernel(ctx, order)
+        for _ in range(40):
+            pairs = []
+            for _ in range(rng.randrange(1, 4)):
+                a = [rng.randrange(ctx.pN) for _ in range(order * f)]
+                b = list(a)
+                for _ in range(rng.randrange(3)):
+                    j = rng.randrange(order * f)
+                    b[j] = (b[j] + 3 ** rng.randrange(ctx.N) * rng.randrange(1, 3)) % ctx.pN
+                pairs.append((a, b))
+            diffs = [[APlusSeries.from_raw(ctx, order, a) - APlusSeries.from_raw(ctx, order, b)
+                      for a, b in pairs]]
+            assert wach._difference_valuation(pairs, ker, 2) == _smat_valuation(diffs, 2)
 
     def test_difference_valuation_f2(self):
         # flat index k*f + a is coordinate a of the coefficient of pi^k
