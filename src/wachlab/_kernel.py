@@ -49,9 +49,10 @@ class SeriesKernel:
     #: (< p^{2N}), so it stays below M * f * p^{2N}; these 7 extra bits let
     #: one limb hold the sum of at least 2^7 = 128 raw products before a
     #: normalize.  `max_terms` is the exact capacity in terms below p^{2N}: a
-    #: d x d `mat_mul` spends d * M * f of it (d <= 128 always fits), a `dot`
-    #: f per O_F scalar (the solver's mixing step sums d^2 + 1 of them).
-    #: Both check before they accumulate.
+    #: d x d `mat_mul` (the module rank d in `wach.check_cocycle` and
+    #: `wach.apply_Ti`) spends d * M * f of it, and d <= 128 always fits; a
+    #: `dot` spends f per O_F scalar (the solver's mixing step sums d^2 + 1
+    #: of them).  Both check before they accumulate.
     HEADROOM_BITS = 7
 
     def __init__(self, p: int, N: int, M: int, modulus=(0, 1)):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import Degenerate, ParseError, PrecisionLoss, ValidationError
-from .aplus import APlusSeries
 from .padic import OFMatrix, PrecisionContext
 from .filmod import (
     CategoryFlags,
@@ -302,10 +301,10 @@ def _run_command(job, cmd, D, cache, mod_name):
         if ("wach", mod_name) not in cache:
             cache["wach", mod_name] = gamma_matrix(D, 1 + job.p, job.order())
         W = cache["wach", mod_name]
-        phi = D.phi_matrix()
-        p_matches = all(W.P[i][j].truncate(1) == APlusSeries.constant(D.ctx, 1, e)
-                        for i, row in enumerate(phi.entries) for j, e in enumerate(row))
-        g_identity = _g_congruent_identity(W)
+        f = D.ctx.f
+        p_matches = all(s.raw()[:f] == list(e.coeffs)
+                        for prow, row in zip(W.P, D.phi_matrix().entries)
+                        for s, e in zip(prow, row))
         data = {
             "c": W.c,
             "order": W.order,
@@ -315,7 +314,7 @@ def _run_command(job, cmd, D, cache, mod_name):
             "eligibility": {"unit_root_rank": rank0,
                             "top_slope_absent": top_absent},
             "P_mod_pi_equals_phi": p_matches,
-            "G_identity_mod_pi_pm1": g_identity,
+            "G_identity_mod_pi_pm1": _g_congruent_identity(W),
             "q_cokernel": check_q_cokernel(W),
         }
         if job.emit_matrices:
@@ -356,8 +355,8 @@ def _once(cache, key, fn, *args):
 
 def _g_congruent_identity(W) -> bool:
     """G == Id mod pi^{p-1}, compared on raw coordinates."""
-    ctx = W.D.ctx
-    return all(g.truncate(ctx.p - 1) == APlusSeries.constant(ctx, ctx.p - 1, int(i == j))
+    n = (W.D.ctx.p - 1) * W.D.ctx.f
+    return all(g.raw()[:n] == [int(i == j and k == 0) for k in range(n)]
                for i, row in enumerate(W.G) for j, g in enumerate(row))
 
 

@@ -20,7 +20,14 @@ every stored series goes through exact factorizations:
     gamma(q) = q * S / pi_c,   S = ((1+pi)^{pc} - 1)/((1+pi)^p - 1),
     pi_c = ((1+pi)^c - 1)/pi,  q mu = p + pi^{p-1} mu,
 
-with S and pi_c integral of unit constant term c.
+with S and pi_c integral of unit constant term c.  No gamma substitution
+builds them: gamma and phi are ring endomorphisms of O_F[[pi]]/(p^N, pi^M),
+so with the polynomial mu^{-1} = u = (q - pi^{p-1})/p = sum C(p, k+1)/p pi^k,
+
+    gamma(pi) = pi pi_c,   gamma(u) = sum_k u_k (pi pi_c)^k,   S = phi(pi_c),
+    nu = gamma(q mu) = p + (pi pi_c)^{p-1} gamma(u)^{-1}
+
+hold exactly at truncation.
 
 Everything between the ingredients and the returned matrices stays in the
 packed kernel (`_kernel.py`), for every residue degree f.  The solver step
@@ -34,9 +41,10 @@ with o the entrywise product: d^2 series products per iteration, the two
 scalar matrices applied as one multiply-add and one normalize per entry,
 and each W_kl cached with the ingredients, per jump pair.  Q is built once
 per `gamma_matrix` from the tau^r columns, and the residual
-Diag(nu^{r_i}) (A G) - (phi(G) Diag((q mu)^{r_k})) A, nu = gamma(q mu), and
-the q-cokernel product are formed on packed values; `APlusSeries` objects
-are made only for the returned P, Q, H, G.
+Diag(nu^{r_i}) (A G) - (phi(G) Diag((q mu)^{r_k})) A, the q-cokernel
+product, the cocycle check and the operators T_i are formed on packed
+values; `APlusSeries` objects are made only for the returned matrices and
+for the gamma substitutions of the cocycle check and T_i.
 """
 
 from __future__ import annotations
@@ -45,14 +53,14 @@ from itertools import repeat
 from math import gcd
 from operator import add, sub
 
-from .errors import CongruenceFailure, NonConvergence
+from .errors import CongruenceFailure, NonConvergence, NotAUnit
 from .aplus import (
     APlusSeries,
     binomial_column,
+    binomial_exact,
     exact_div_pi,
     gamma_series,
     invert_series,
-    mu_series,
     phi_series,
     phi_table,
     q_mu_series,
@@ -71,43 +79,17 @@ def default_order(ctx) -> int:
 
 
 # ---------------------------------------------------------------------------
-# matrices of series (small d: plain lists of APlusSeries)
+# matrices of packed series
 # ---------------------------------------------------------------------------
-
-def mat_identity(ctx, d, order):
-    one = APlusSeries.one(ctx, order)
-    zero = APlusSeries.zero(ctx, order)
-    return [[one if i == j else zero for j in range(d)] for i in range(d)]
-
-def mat_mul(A, B):
-    d = len(A)
-    m = len(B[0])
-    return [[_dot(A[i], [B[k][j] for k in range(len(B))]) for j in range(m)]
-            for i in range(d)]
-
-def _dot(row, col):
-    acc = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        acc = acc + a * b
-    return acc
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(A, B)]
-
-def mat_map(A, fn):
-    return [[fn(e) for e in row] for row in A]
-
-def mat_is_zero(A) -> bool:
-    return all(e.pi_valuation() is None for row in A for e in row)
-
-
-# -- the same on packed values -------------------------------------------------
 
 def _scalars(ker, M: OFMatrix):
     return [[ker.scalar(e.coeffs) for e in row] for row in M.entries]
 
 def _raw(mat):
     return [[s.raw() for s in row] for row in mat]
+
+def _pack(ker, mat):
+    return [[ker.pack(s.raw()) for s in row] for row in mat]
 
 def _series(ctx, order, mat):
     return [[APlusSeries.from_raw(ctx, order, e) for e in row] for row in mat]
@@ -140,42 +122,39 @@ def _difference_valuation(pairs, ker, weight):
 
 class _Ingredients:
     """Everything that depends only on (ctx, order, c): shared by all modules
-    with the same prime and working precision."""
+    with the same prime and working precision.  Built from ring identities
+    with no gamma substitution (see the module docstring)."""
 
     def __init__(self, ctx, order, c):
         p = ctx.p
+        if c % p == 0:
+            raise NotAUnit(f"character value {c} is divisible by p={p}")
         self.ctx, self.order, self.c = ctx, order, c
         self.q = q_series(ctx, order)
-        self.mu = mu_series(ctx, order)
-        self.qmu = q_mu_series(ctx, order)
-        self.mu_inv = invert_series(self.mu)
-        self.qmu_gamma = gamma_series(self.qmu, c)  # nu = gamma(q mu)
-        # pi_c = ((1+pi)^c - 1)/pi
+        # mu^{-1} = u = (q - pi^{p-1})/p, the polynomial sum C(p, k+1)/p pi^k
+        u = [binomial_exact(p, k + 1) // p for k in range(p - 1)]
+        self.mu_inv = APlusSeries(ctx, order, u)
+        self.mu = invert_series(self.mu_inv)
+        self.qmu = shift_pi(self.mu, p - 1).truncate(order) + p  # p + pi^{p-1} mu
+        # pi_c = ((1+pi)^c - 1)/pi, so gamma(pi) = pi pi_c
         col = binomial_column(c, order, ctx.pN)
         self.pi_c = APlusSeries(ctx, order, col[1:])
-        # S = ((1+pi)^{pc}-1)/((1+pi)^p-1) = sum_{k>=1} C(c,k) (pi q)^{k-1},
-        # a polynomial of degree c - 1 in pi q when c >= 0
-        phi_pi = phi_series(APlusSeries.pi(ctx, order))
-        S = APlusSeries.zero(ctx, order)
-        power = APlusSeries.one(ctx, order)
-        kmax = order if c < 0 else min(c, order)
-        for k in range(1, kmax + 1):
-            if col[k]:
-                S = S + power * col[k]
-            if k < kmax:
-                power = power * phi_pi
-                if power.pi_valuation() is None:
-                    break
-        self.S = S
+        g = _powers(shift_pi(self.pi_c, 1).truncate(order), p)  # gamma(pi)^k
+        # gamma(mu^{-1}) = sum_k u_k gamma(pi)^k
+        mu_inv_gamma = sum((gk * uk for uk, gk in zip(u, g)), APlusSeries.zero(ctx, order))
+        # nu = gamma(q mu) = p + gamma(pi)^{p-1} gamma(mu^{-1})^{-1}
+        self.nu = g[p - 1] * invert_series(mu_inv_gamma) + p
+        # S = ((1+pi)^{pc}-1)/((1+pi)^p-1) = phi(pi_c)
+        self.S = phi_series(self.pi_c)
         # rho = q / gamma(q mu) = pi_c * S^{-1} * gamma(mu^{-1})
-        self.rho = self.pi_c * invert_series(S) * gamma_series(self.mu_inv, c)
+        self.rho = self.pi_c * invert_series(self.S) * mu_inv_gamma
         # tau = q mu / gamma(q mu), congruent to 1 mod pi^{p-1}
         self.tau = self.rho * self.mu
         self.q_powers = _powers(self.q, p)
         self.rho_powers = _powers(self.rho, p)
         self.tau_powers = _powers(self.tau, p)
         self.qmu_powers = _powers(self.qmu, p)
-        self.nu_powers = _powers(self.qmu_gamma, p)
+        self.nu_powers = _powers(self.nu, p)
         self.muinv_powers = _powers(self.mu_inv, p)
         self._packed: dict = {}
 
@@ -308,7 +287,7 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
     a, b = D.A.inverse().entries, D.A.entries
     mix = [[[ker.scalar((a[i][k] * b[l][j]).coeffs) for k in range(d) for l in range(d)]
             for j in range(d)] for i in range(d)]
-    Qp = [[ker.pack(s.raw()) for s in row] for row in Q]
+    Qp = _pack(ker, Q)
     if initial is None:
         H = _raw(Q)
     else:
@@ -414,14 +393,13 @@ def relation_valuation(D: FilPhiModule, c: int, G, order: int):
 def check_cocycle(D: FilPhiModule, c1: int, c2: int,
                   order: int | None = None) -> bool:
     """G_{c1 c2} == gamma_{c2}(G_{c1}) G_{c2} in the fixed basis (operator
-    composition in the row convention)."""
-    order = order or default_order(D.ctx)
-    W1 = gamma_matrix(D, c1, order)
-    W2 = gamma_matrix(D, c2, order)
-    W12 = gamma_matrix(D, c1 * c2, order)
-    lhs = W12.G
-    rhs = mat_mul(mat_map(W1.G, lambda s: gamma_series(s, c2)), W2.G)
-    return mat_is_zero(mat_sub(lhs, rhs))
+    composition in the row convention), compared packed."""
+    ctx = D.ctx
+    order = order or default_order(ctx)
+    G1, G2, G12 = (gamma_matrix(D, c, order).G for c in (c1, c2, c1 * c2))
+    ker = series_kernel(ctx, order)
+    gG1 = _pack(ker, [[gamma_series(s, c2) for s in row] for row in G1])
+    return ker.mat_mul(gG1, _pack(ker, G2), D.d) == _pack(ker, G12)
 
 
 def check_q_cokernel(W: WachData) -> bool:
@@ -436,9 +414,9 @@ def check_q_cokernel(W: WachData) -> bool:
     d = D.d
     # (cand P)_ij = sum_k (A^{-1})_ik (q^{r_top - r_k} mu^{-r_k} P_kj)
     ker = series_kernel(ctx, order)
+    P = _pack(ker, W.P)
     Y = [[ker.mul_n(ing.packed_product(("q", r_top - D.jumps[k]),
-                                       ("muinv", D.jumps[k]), order),
-                    ker.pack(W.P[k][j].raw()))
+                                       ("muinv", D.jumps[k]), order), P[k][j])
           for j in range(d)] for k in range(d)]
     a = _scalars(ker, D.A.inverse())
     top = ing.packed("q", r_top, order)
@@ -455,17 +433,18 @@ def apply_Ti(W: WachData, i: int):
     prod_k (1 - c^{-k})."""
     if not 1 <= i <= W.D.ctx.p - 1:
         raise ValueError("i must lie in [1, p-1]")
-    ctx = W.D.ctx
-    d = W.D.d
-    X = mat_identity(ctx, d, W.order)
-    cinv = OFElement(ctx, W.c).unit_inverse()
+    ctx, d, order, c = W.D.ctx, W.D.d, W.order, W.c
+    ker = series_kernel(ctx, order)
+    G = _pack(ker, W.G)
+    X = [[ker.pack([int(a == b)]) for b in range(d)] for a in range(d)]
     for k in range(i - 1, 0, -1):
-        scal = cinv
-        for _ in range(k - 1):
-            scal = scal * cinv
-        gX = mat_mul(mat_map(X, lambda s: gamma_series(s, W.c)), W.G)
-        X = mat_sub(X, mat_map(gX, lambda s: s * scal))
-    return X
+        # X <- X - c^{-k} gamma(X) G
+        gX = [[ker.pack(gamma_series(APlusSeries.from_raw(ctx, order, ker.unpack(x)), c).raw())
+               for x in row] for row in X]
+        neg = -pow(c, -k, ctx.pN) % ctx.pN
+        X = [[ker.normalize(x + neg * y) for x, y in zip(xrow, yrow)]
+             for xrow, yrow in zip(X, ker.mat_mul(gX, G, d))]
+    return _series(ctx, order, [[ker.unpack(x) for x in row] for row in X])
 
 
 def ti_scalar(ctx, c: int, i: int):

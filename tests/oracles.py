@@ -550,8 +550,10 @@ def S_ref(ctx, order, c):
 
 
 class IngredientsRef:
-    """The series of `wach._Ingredients` on `SeriesRef`, with S from
-    `S_ref`."""
+    """The series of `wach._Ingredients` on `SeriesRef`, by another route:
+    mu by inverting u, mu^{-1} by inverting mu back, both gamma images by
+    Horner substitution (`gamma_ref`) and S from `S_ref`, where the library
+    uses ring identities and substitutes gamma into nothing."""
 
     def __init__(self, ctx, order, c):
         p = ctx.p

@@ -6,16 +6,21 @@ import pytest
 
 from oracles import (
     REFERENCE,
+    IngredientsRef,
     SeriesRef,
     cocycle_oracle,
     lattice_oracle,
     q_cokernel_oracle,
     residual_oracle,
     S_ref,
+    _smat_mul,
+    _smat_sub,
     _smat_valuation,
     ti_oracle,
 )
 from wachlab import NonConvergence, OFElement, OFMatrix, PrecisionContext
+from wachlab import _kernel
+from wachlab.errors import NotAUnit
 from wachlab.aplus import (
     APlusSeries,
     exact_div_pi,
@@ -39,9 +44,6 @@ from wachlab.wach import (
     compute_Q,
     default_order,
     gamma_matrix,
-    mat_is_zero,
-    mat_mul,
-    mat_sub,
     relation_valuation,
     solve_H,
     ti_scalar,
@@ -106,7 +108,7 @@ class TestComputeQ:
     def test_zero_jumps_give_zero_Q(self):
         D = module(3, 8, [0, 0], [[1, 2], [1, 1]])
         Q = compute_Q(D, 4, 12)
-        assert mat_is_zero(Q)
+        assert _smat_valuation(Q, 1) is None
 
     def test_rank_one_nonInverting_oracle(self):
         # gamma(P^{-1})P = Id + pi^{p-1} Q  <=>  P - gamma(P)(Id + pi^{p-1} Q) = 0
@@ -120,8 +122,8 @@ class TestComputeQ:
         pi_pm1 = APlusSeries(ctx, order, [0] * (p - 1) + [1])
         inner = [[(APlusSeries.one(ctx, order) if i == j else APlusSeries.zero(ctx, order))
                   + pi_pm1 * Q[i][j] for j in range(1)] for i in range(1)]
-        resid = mat_sub([[P[0][0]]], mat_mul(gP, inner))
-        assert mat_is_zero(resid)
+        resid = _smat_sub([[P[0][0]]], _smat_mul(gP, inner))
+        assert _smat_valuation(resid, 1) is None
         assert Q[0][0].pi_valuation() is not None  # a genuinely nonzero series
 
     def test_congruence_random(self):
@@ -138,8 +140,8 @@ class TestComputeQ:
             inner = [[(APlusSeries.one(ctx, order) if i == j else
                        APlusSeries.zero(ctx, order)) + pi_pm1 * Q[i][j]
                       for j in range(D.d)] for i in range(D.d)]
-            resid = mat_sub(P, mat_mul(gP, inner))
-            assert mat_is_zero(resid)
+            resid = _smat_sub(P, _smat_mul(gP, inner))
+            assert _smat_valuation(resid, 1) is None
 
 
 class TestIngredients:
@@ -152,6 +154,34 @@ class TestIngredients:
         c = 1 + p if c == "1+p" else c
         order = default_order(ctx)
         assert wach._ingredients(ctx, order, c).S.raw() == S_ref(ctx, order, c).raw()
+
+    @pytest.mark.parametrize("p,N", ((3, 3), (5, 2), (7, 2)))
+    @pytest.mark.parametrize("f", (1, 2, 3))
+    @pytest.mark.parametrize("c", ("1+p", 2, -1, "-(1+p)"))
+    def test_power_lists_match_oracle(self, p, N, f, c):
+        # the ring-identity ingredients against the oracle's route through
+        # Horner gamma substitution, inversion and S_ref
+        ctx = PrecisionContext(p, N, f)
+        c = {"1+p": 1 + p, "-(1+p)": -(1 + p)}.get(c, c)
+        order = default_order(ctx)
+        ing, ref = wach._Ingredients(ctx, order, c), IngredientsRef(ctx, order, c)
+        assert ing.S.raw() == ref.S.raw()
+        for name in ("q", "rho", "tau", "qmu", "nu", "muinv"):
+            mine, theirs = getattr(ing, name + "_powers"), getattr(ref, name + "_powers")
+            assert [s.raw() for s in mine] == [s.raw() for s in theirs], name
+
+    def test_no_gamma_table(self, monkeypatch):
+        # a lattice build substitutes gamma into nothing: fresh kernels hold
+        # the Frobenius table and no gamma power table afterwards
+        monkeypatch.setattr(_kernel, "_kernels", {})
+        monkeypatch.setattr(wach, "_ingredient_cache", {})
+        ctx = PrecisionContext(5, 4)
+        D = eligible_random(ctx, 2, random.Random(22))
+        W = gamma_matrix(D, 6, default_order(ctx))
+        assert W.residual_zero and check_q_cokernel(W)
+        keys = [key for ker in _kernel._kernels.values() for key in ker._tables]
+        assert ("phi",) in keys
+        assert [key for key in keys if key[0] == "gamma"] == []
 
     def test_solver_weights_cached(self, monkeypatch):
         # once the ingredients hold W, a solve makes d^2 products per
@@ -172,7 +202,7 @@ class TestSolveH:
     def test_zero_Q_zero_H(self):
         D = module(3, 8, [0, 0], [[1, 2], [1, 1]])
         H, _ = solve_H(D, 4, 16)
-        assert mat_is_zero(H)
+        assert _smat_valuation(H, 1) is None
 
     def test_rank_one_residual_zero(self):
         D = module(3, 8, [1], [[1]])
@@ -219,7 +249,7 @@ class TestGammaMatrix:
         W = gamma_matrix(D, 4, 16)
         ident = [[APlusSeries.one(D.ctx, 16) if i == j else APlusSeries.zero(D.ctx, 16)
                   for j in range(2)] for i in range(2)]
-        assert mat_is_zero(mat_sub(W.G, ident))
+        assert _smat_valuation(_smat_sub(W.G, ident), 1) is None
 
     def test_G_congruent_identity(self):
         rng = random.Random(12)
@@ -261,6 +291,38 @@ class TestCocycle:
     def test_rank_two(self):
         D = module(3, 8, [0, 1], [[0, 1], [1, 0]])
         assert check_cocycle(D, 4, 16, 24)
+
+    @pytest.mark.parametrize("f", (1, 2))
+    @pytest.mark.parametrize("c1,c2", ((4, -1), (-1, -1), (2, 4), (-4, 8)))
+    def test_matches_oracle(self, f, c1, c2):
+        ctx = PrecisionContext(3, 3, f)
+        D = eligible_random(ctx, 2, random.Random(f"{f}/{c1}/{c2}"))
+        order = default_order(ctx)
+        assert check_cocycle(D, c1, c2, order) is cocycle_oracle(D, c1, c2, order) is True
+
+    def test_bumped_G_breaks_cocycle(self, monkeypatch):
+        # one coordinate of one of the three G moved: the check must fail
+        ctx = PrecisionContext(3, 3)
+        D = eligible_random(ctx, 2, random.Random(23))
+        order = default_order(ctx)
+        assert check_cocycle(D, 4, -1, order)
+        true_gamma_matrix = wach.gamma_matrix
+        for target, at in ((4, (0, 0, 0)), (-1, (0, 1, 3)), (-4, (1, 1, order - 1))):
+            def bumped_gamma_matrix(D, c, order=None, target=target, at=at):
+                W = true_gamma_matrix(D, c, order)
+                if c == target:
+                    W.G = bumped(W.G, *at)
+                return W
+            monkeypatch.setattr(wach, "gamma_matrix", bumped_gamma_matrix)
+            assert check_cocycle(D, 4, -1, order) is False
+
+    def test_c_divisible_by_p(self):
+        D = module(3, 8, [0, 1], [[0, 1], [1, 0]])
+        for c1, c2 in ((3, 4), (4, 3), (-6, 4)):
+            with pytest.raises(NotAUnit, match="divisible by p=3"):
+                check_cocycle(D, c1, c2, 24)
+        with pytest.raises(NotAUnit, match="character value 0"):
+            gamma_matrix(D, 0, 24)
 
 
 class TestQCokernel:
@@ -306,7 +368,7 @@ class TestTi:
         W = gamma_matrix(D, 4, 20)
         X = apply_Ti(W, 1)
         ident = [[APlusSeries.one(D.ctx, 20)]]
-        assert mat_is_zero(mat_sub(X, ident))
+        assert _smat_valuation(_smat_sub(X, ident), 1) is None
 
     def test_i2_c4_p3_scalar(self):
         # 1 - 4^{-1} = 3/4 has valuation 1 at p=3
@@ -332,6 +394,24 @@ class TestTi:
                 for b in range(2):
                     c0 = X[a][b].constant_term()
                     assert c0 == (scal if a == b else OFElement(D.ctx, 0))
+
+
+    @pytest.mark.parametrize("f", (1, 2))
+    @pytest.mark.parametrize("p,N,c", ((3, 3, 4), (3, 3, -1), (5, 2, 2), (5, 2, -1)))
+    def test_matches_oracle(self, f, p, N, c):
+        # gamma acts on X from i = 3 on, so p = 5 reaches it.  On these
+        # modules gamma_{-1} fixes the lattice's G, so a G bumped at pi^1
+        # also tells gamma_c from gamma_{-c}.
+        ctx = PrecisionContext(p, N, f)
+        D = eligible_random(ctx, 2, random.Random(f"{f}/{p}/{c}/ti"))
+        W = gamma_matrix(D, c)
+        G = lattice_oracle(D, c, W.order, ring=REFERENCE)[3]
+        for bump in (False, True):
+            if bump:
+                W.G = bumped(W.G, 0, 1, f)
+                G = [[SeriesRef(ctx, s.order, s.coeffs) for s in row] for row in W.G]
+            for i in range(1, p):
+                assert raw_matrix(apply_Ti(W, i)) == raw_matrix(ti_oracle(D, G, c, i, W.order))
 
 
 def raw_matrix(M):
