@@ -219,22 +219,28 @@ class SeriesKernel:
     # -- substitution tables --------------------------------------------------
 
     def power_table(self, key, make_coeffs, twist=None) -> list[int]:
-        """Substitution table of the map pi -> g, cached under `key`:
-        entry k * f + a is the packed image t_a * g^k (mod pi^M) of the basis
-        element x^a pi^k.  make_coeffs() supplies the integer coefficients of
-        g, twist() the coordinates of t_0 .. t_{f-1} (default x^a, a map
-        trivial on O_F), both on a cache miss only.
+        """`substitution_table(make_coeffs(), twist())`, cached under `key`:
+        make_coeffs and twist run on a cache miss only."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self.substitution_table(
+                make_coeffs(), twist() if twist is not None else None)
+        return table
+
+    def substitution_table(self, coeffs, twist=None) -> list[int]:
+        """Substitution table of the map pi -> g, built afresh: entry
+        k * f + a is the packed image t_a * g^k (mod pi^M) of the basis
+        element x^a pi^k.  coeffs are the integer coefficients of g, twist
+        the coordinates of t_0 .. t_{f-1} (default x^a, a map trivial on
+        O_F).
 
         g must have pi-valuation >= 1 so that the powers stay triangular.
         Once a power g^k vanishes mod (p^N, pi^M), so do all higher ones:
         the table stops there, and `combo` reads its missing entries as
         zero.  For the Frobenius image pi q at M = 2(p-1)N that happens near
         k = 3(p-1)N/p."""
-        table = self._tables.get(key)
-        if table is not None:
-            return table
         pad = (0,) * (self.f - 1)
-        g = self.pack([x for c in list(make_coeffs())[:self.M] for x in (c, *pad)])
+        g = self.pack([x for c in list(coeffs)[:self.M] for x in (c, *pad)])
         table = [self.pack([1])]
         for _ in range(1, self.M):
             power = self.mul_n(table[-1], g)
@@ -242,10 +248,9 @@ class SeriesKernel:
                 break
             table.append(power)
         if self.f > 1:
-            t = ([self.scalar(c) for c in twist()] if twist is not None
+            t = ([self.scalar(c) for c in twist] if twist is not None
                  else [1 << (a * self.lbits) for a in range(self.f)])
             table = [self.normalize(s * ta) for s in table for ta in t]
-        self._tables[key] = table
         return table
 
     # -- matrices of packed series -------------------------------------------

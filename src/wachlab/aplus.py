@@ -240,13 +240,25 @@ def gamma_series(s: APlusSeries, c: int) -> APlusSeries:
     bit-exactly at truncation.
     """
     ctx = s.ctx
-    if c % ctx.p == 0:
-        raise NotAUnit(f"character value {c} is divisible by p={ctx.p}")
+    _check_unit(ctx, c)
     if c == 1:
         return s
     ker = series_kernel(ctx, s.order)
     table = ker.power_table(("gamma", c), lambda: _subst_coeffs(ctx, c, s.order))
     return APlusSeries._of(ctx, s.order, ker.unpack(ker.combo(s._data, table)))
+
+
+def gamma_table(ctx: PrecisionContext, order: int, c: int) -> list[int]:
+    """The packed images gamma_c(pi)^k of the basis pi^k modulo pi^order,
+    built afresh and not cached: for a caller that substitutes a batch of
+    series once (`combo` with it is `gamma_series`)."""
+    _check_unit(ctx, c)
+    return series_kernel(ctx, order).substitution_table(_subst_coeffs(ctx, c, order))
+
+
+def _check_unit(ctx, c: int):
+    if c % ctx.p == 0:
+        raise NotAUnit(f"character value {c} is divisible by p={ctx.p}")
 
 
 # ---------------------------------------------------------------------------

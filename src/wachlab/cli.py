@@ -4,17 +4,20 @@
     wachlab corpus --p P --count N [--d-max D] [--seed S] --out-dir DIR
 
 `run` executes job documents and writes one JSON report (a single report
-for one input, a reports array for several), ordered by input index
-regardless of worker count; exit code 0 iff every verdict holds and no
-command errored.  `corpus` writes numbered job files.
+for one input, a reports array for several), ordered by input index and
+byte-identical for every `--jobs`; exit code 0 iff every verdict holds and
+no command errored.  `--jobs K` runs the inputs on min(K, inputs, usable
+CPUs) worker processes, one task per input; an input whose worker died
+before reporting gets a `WorkerError` entry.  `corpus` writes numbered job
+files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import ParseError, ValidationError, WachlabError
@@ -59,11 +62,42 @@ def _error_report(path: str, type: str, reason: str, **extra) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int, inputs: int) -> int:
+    """Worker processes for `--jobs jobs` over `inputs` inputs."""
+    return min(jobs, inputs, _usable_cpus())
+
+
+def _run_pool(paths, overrides: dict, workers: int) -> list[tuple[str, bool]]:
+    """`_run_one` over `paths` on worker processes, in input order.  The
+    pool uses the default start method (fork on Linux, safe here because
+    the runner has started no thread of its own); each worker fills its own
+    caches."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_one, path, overrides) for path in paths]
+        for path, future in zip(paths, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:  # a worker died (signal, OOM)
+                results.append((_error_report(path, "WorkerError", str(exc)), False))
+    return results
+
+
 def cmd_run(args) -> int:
     overrides = {"N": args.N, "M": args.M, "MT": args.MT, "seed": args.seed}
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda f: _run_one(f, overrides), args.inputs))
+    workers = _worker_count(args.jobs, len(args.inputs))
+    if workers > 1:
+        results = _run_pool(args.inputs, overrides, workers)
     else:
         results = [_run_one(f, overrides) for f in args.inputs]
     if len(results) == 1:
@@ -104,7 +138,9 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run job documents, emit a JSON report")
     runp.add_argument("inputs", nargs="+", help="job document paths")
     runp.add_argument("--output", help="report path (default: stdout)")
-    runp.add_argument("--jobs", type=int, default=1, help="worker threads")
+    runp.add_argument("--jobs", type=int, default=1,
+                      help="worker processes (at most one per input and "
+                           "per usable CPU)")
     runp.add_argument("--N", type=int, help="override p-adic precision")
     runp.add_argument("--M", type=int, help="override pi-truncation order")
     runp.add_argument("--MT", type=int, help="override T-truncation order")
@@ -122,6 +158,8 @@ def main(argv=None) -> int:
     corp.set_defaults(func=cmd_corpus)
 
     args = parser.parse_args(argv)
+    if args.cmd == "run" and args.jobs < 1:
+        runp.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     return args.func(args)
 
 

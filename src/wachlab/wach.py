@@ -43,8 +43,9 @@ and each W_kl cached with the ingredients, per jump pair.  Q is built once
 per `gamma_matrix` from the tau^r columns, and the residual
 Diag(nu^{r_i}) (A G) - (phi(G) Diag((q mu)^{r_k})) A, the q-cokernel
 product, the cocycle check and the operators T_i are formed on packed
-values; `APlusSeries` objects are made only for the returned matrices and
-for the gamma substitutions of the cocycle check and T_i.
+values; `APlusSeries` objects are made only for the returned matrices.
+The cocycle check and T_i substitute gamma through a table built per call
+(`aplus.gamma_table`), which no kernel keeps.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ from .aplus import (
     binomial_column,
     binomial_exact,
     exact_div_pi,
-    gamma_series,
+    gamma_series,  # noqa: F401  (bench/tracing.py wraps wach.gamma_series)
+    gamma_table,
     invert_series,
     phi_series,
     phi_table,
@@ -398,7 +400,8 @@ def check_cocycle(D: FilPhiModule, c1: int, c2: int,
     order = order or default_order(ctx)
     G1, G2, G12 = (gamma_matrix(D, c, order).G for c in (c1, c2, c1 * c2))
     ker = series_kernel(ctx, order)
-    gG1 = _pack(ker, [[gamma_series(s, c2) for s in row] for row in G1])
+    table = gamma_table(ctx, order, c2)
+    gG1 = [[ker.combo(s.raw(), table) for s in row] for row in G1]
     return ker.mat_mul(gG1, _pack(ker, G2), D.d) == _pack(ker, G12)
 
 
@@ -437,10 +440,10 @@ def apply_Ti(W: WachData, i: int):
     ker = series_kernel(ctx, order)
     G = _pack(ker, W.G)
     X = [[ker.pack([int(a == b)]) for b in range(d)] for a in range(d)]
+    table = gamma_table(ctx, order, c) if i > 1 else None
     for k in range(i - 1, 0, -1):
         # X <- X - c^{-k} gamma(X) G
-        gX = [[ker.pack(gamma_series(APlusSeries.from_raw(ctx, order, ker.unpack(x)), c).raw())
-               for x in row] for row in X]
+        gX = [[ker.combo(ker.unpack(x), table) for x in row] for row in X]
         neg = -pow(c, -k, ctx.pN) % ctx.pN
         X = [[ker.normalize(x + neg * y) for x, y in zip(xrow, yrow)]
              for xrow, yrow in zip(X, ker.mat_mul(gX, G, d))]

@@ -1,16 +1,20 @@
 """Job parsing, batch running, corpus generation, CLI determinism."""
 
 import json
+import multiprocessing
+import os
 import random
 import string
+import time
 
 import pytest
 
 import wachlab.cep
+import wachlab.cli
 import wachlab.jobs
 from wachlab import ParseError, ValidationError
 from wachlab.cep import cep_check, tam_exponent
-from wachlab.cli import main
+from wachlab.cli import _run_one, _usable_cpus, _worker_count, main
 from wachlab.filmod import dual_twist
 from wachlab.jobs import build_module, format_job, generate_corpus, parse_job, run_job
 
@@ -308,6 +312,84 @@ class TestFuzz:
                 pass  # structured rejection is the contract
 
 
+def _small_corpus():
+    """Two small eligible jobs each at p = 3, 5, 7."""
+    jobs = []
+    for p in (3, 5, 7):
+        for job in generate_corpus(p, 2, 2, seed=p):
+            job.N, job.M, job.M_T = 6, 10 * (p - 1), 8
+            jobs.append(job)
+    return jobs
+
+
+FUZZ_TOKENS = ("p", "f", "N", "M", "MT", "seed", "module", "rank", "jumps",
+               "row", "endmodule", "command", "check", "slopes", "wach", "tam",
+               "cep", "iwasawa-check", "emit-matrices", "true", "m0", "m1",
+               "p:1.2", "p:", "#", "-1", "0", "1", "2", "3", "4", "5", "7",
+               "x", "1.5", "")
+
+
+def _mutate(lines: list[str], edits) -> list[str]:
+    """Apply (op, i, j, token) edits to a copy of the lines of a job text."""
+    lines = list(lines)
+    for op, i, j, token in edits:
+        i %= len(lines) + 1
+        if op == "insert" or not lines:
+            lines.insert(i, f"{token} {FUZZ_TOKENS[j % len(FUZZ_TOKENS)]}")
+            continue
+        i %= len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "number":
+            words = lines[i].split()
+            at = [k for k, w in enumerate(words) if w.lstrip("-").isdigit()]
+            if at:
+                words[at[j % len(at)]] = str(j % 10 - 1)
+                lines[i] = " ".join(words)
+        elif op == "swap":
+            j %= len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split() or [""]
+            words[j % len(words)] = token
+            lines[i] = " ".join(words)
+    return lines
+
+
+def test_batch_runner_fuzz(tmp_path):
+    # mutated seed job texts through the batch runner: every input yields a
+    # structured report carrying the schema, and none raises
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seeds = []
+    for job in _small_corpus():  # with every command
+        job.commands.insert(1, ("slopes", job.commands[0][1]))
+        job.commands.append(("iwasawa-check", None))
+        seeds.append(format_job(job).splitlines())
+    # most edits change one number and keep the document's structure
+    ops = ("number",) * 4 + ("delete", "duplicate", "swap", "replace", "insert")
+    edit = st.tuples(st.sampled_from(ops), st.integers(0, 10**6),
+                     st.integers(0, 10**6), st.sampled_from(FUZZ_TOKENS))
+    size = st.one_of(st.none(), st.integers(1, 8))
+    path = tmp_path / "job.wach"
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(seed=st.sampled_from(seeds),
+                      edits=st.lists(edit, min_size=1, max_size=4),
+                      N=size, M=st.integers(7, 60),
+                      MT=st.one_of(st.none(), st.integers(1, 16)))
+    def check(seed, edits, N, M, MT):
+        path.write_text("\n".join(_mutate(seed, edits)) + "\n")
+        report, ok = _run_one(str(path), {"N": N, "M": M, "MT": MT, "seed": None})
+        body = json.loads(report)
+        assert body["schema"] == wachlab.jobs.SCHEMA
+        assert ok is body["ok"]
+
+    check()
+
+
 class TestCorpus:
     def test_deterministic(self):
         a = generate_corpus(3, 3, 5, seed=1)
@@ -399,6 +481,80 @@ class TestCli:
         assert main(["run", *files, "--N", "10", "--M", "24",
                      "--output", str(out4), "--jobs", "4"]) == 0
         assert out1.read_bytes() == out4.read_bytes()
+
+    def test_worker_count_bounds(self, monkeypatch):
+        # pure arithmetic: no process is started for any K
+        cpus = _usable_cpus()
+        assert cpus >= 1
+        assert _worker_count(10**6, 10**6) == cpus
+        assert _worker_count(10**6, 1) == 1
+        monkeypatch.setattr(wachlab.cli, "_usable_cpus", lambda: 4)
+        assert _worker_count(10**6, 10**6) == 4
+        assert _worker_count(10**6, 3) == 3
+        assert _worker_count(2, 10**6) == 2
+
+    @pytest.mark.parametrize("jobs", ("0", "-3"))
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        f = tmp_path / "job.wach"
+        f.write_text(MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(f), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_process_determinism_mixed_p(self, tmp_path, monkeypatch):
+        # two workers even on a one-CPU host
+        monkeypatch.setattr(wachlab.cli, "_usable_cpus", lambda: 2)
+        files = []
+        for i, job in enumerate(_small_corpus()):
+            f = tmp_path / f"job{i}.wach"
+            f.write_text(format_job(job))
+            files.append(str(f))
+        bad_utf8 = tmp_path / "bad_utf8.wach"
+        bad_utf8.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        bad_parse = tmp_path / "bad_parse.wach"
+        bad_parse.write_text("garbage here\n")
+        files[2:2] = [str(tmp_path / "missing.wach"), str(bad_utf8), str(bad_parse)]
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"r{jobs}.json"
+            rc = main(["run", *files, "--output", str(out), "--jobs", jobs])
+            outputs.append((rc, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 1
+        types = [r.get("error", {}).get("type")
+                 for r in json.loads(outputs[0][1])["reports"]]
+        assert types[2:5] == ["IOError", "ParseError", "ParseError"]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="a worker inherits the patched run_job only under fork")
+    def test_lost_worker_is_structured(self, tmp_path, monkeypatch):
+        # the worker running seed 99 dies without reporting; the input that
+        # finished before it keeps its report
+        monkeypatch.setattr(wachlab.cli, "_usable_cpus", lambda: 2)
+        real_run_job = wachlab.cli.run_job
+
+        def dying_run_job(job):
+            if job.seed == 99:
+                time.sleep(0.3)
+                os._exit(3)
+            return real_run_job(job)
+
+        monkeypatch.setattr(wachlab.cli, "run_job", dying_run_job)
+        files = []
+        for name, seed in (("first", 1), ("dies", 99), ("last", 2)):
+            f = tmp_path / f"{name}.wach"
+            f.write_text(MINIMAL + f"seed {seed}\n")
+            files.append(str(f))
+        out = tmp_path / "r.json"
+        assert main(["run", *files, "--output", str(out), "--jobs", "2"]) == 1
+        reports = json.loads(out.read_text())["reports"]
+        assert len(reports) == 3
+        assert all(r["schema"] == wachlab.jobs.SCHEMA for r in reports)
+        assert reports[0]["ok"] is True and "error" not in reports[0]
+        assert reports[1]["ok"] is False and reports[1]["input"] == files[1]
+        assert reports[1]["error"]["type"] == "WorkerError"
+        assert reports[2]["ok"] is True or reports[2]["error"]["type"] == "WorkerError"
 
     def test_corpus_command(self, tmp_path, capsys):
         rc = main(["corpus", "--p", "3", "--count", "3", "--seed", "2",

@@ -316,6 +316,20 @@ class TestCocycle:
             monkeypatch.setattr(wach, "gamma_matrix", bumped_gamma_matrix)
             assert check_cocycle(D, 4, -1, order) is False
 
+    def test_no_gamma_table_kept(self, monkeypatch):
+        # the cocycle check and T_i build their gamma tables per call, so
+        # fresh kernels hold no ('gamma', c) key afterwards
+        monkeypatch.setattr(_kernel, "_kernels", {})
+        monkeypatch.setattr(wach, "_ingredient_cache", {})
+        ctx = PrecisionContext(5, 4)
+        D = eligible_random(ctx, 2, random.Random(22))
+        order = default_order(ctx)
+        assert check_cocycle(D, 6, -1, order)
+        apply_Ti(gamma_matrix(D, 6, order), 3)
+        keys = [key for ker in _kernel._kernels.values() for key in ker._tables]
+        assert ("phi",) in keys
+        assert [key for key in keys if key[0] == "gamma"] == []
+
     def test_c_divisible_by_p(self):
         D = module(3, 8, [0, 1], [[0, 1], [1, 0]])
         for c1, c2 in ((3, 4), (4, 3), (-6, 4)):
