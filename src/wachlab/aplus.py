@@ -272,21 +272,16 @@ def q_series(ctx: PrecisionContext, order: int) -> APlusSeries:
     return APlusSeries(ctx, order, coeffs)
 
 
+def mu_inverse_coeffs(p: int) -> list[int]:
+    """mu^{-1} = u = (q - pi^{p-1})/p = sum_{k < p-1} C(p, k+1)/p pi^k: q less
+    its leading term has coefficients C(p, k), 1 <= k <= p-1, all divisible
+    by p, and the quotient has constant term 1, hence is invertible."""
+    return [binomial_exact(p, k + 1) // p for k in range(p - 1)]
+
+
 def mu_series(ctx: PrecisionContext, order: int) -> APlusSeries:
-    """mu = p/(q - pi^{p-1}), a unit of A+ with mu(0) = 1.
-
-    q - pi^{p-1} strips q's leading term, leaving coefficients C(p, k) for
-    1 <= k <= p-1, all divisible by p; division by p is exact and the
-    quotient has constant term 1, hence is invertible.
-    """
-    u = [binomial_exact(ctx.p, k + 1) // ctx.p for k in range(min(order, ctx.p - 1))]
-    return invert_series(APlusSeries(ctx, order, u))
-
-
-def q_mu_series(ctx: PrecisionContext, order: int) -> APlusSeries:
-    """q*mu = p + pi^{p-1}*mu, exactly (the defining identity of mu)."""
-    mu_shifted = shift_pi(mu_series(ctx, order), ctx.p - 1).truncate(order)
-    return mu_shifted + ctx.p
+    """mu = p/(q - pi^{p-1}), a unit of A+ with mu(0) = 1."""
+    return invert_series(APlusSeries(ctx, order, mu_inverse_coeffs(ctx.p)))
 
 
 def shift_pi(s: APlusSeries, k: int) -> APlusSeries:

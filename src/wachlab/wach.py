@@ -27,7 +27,8 @@ so with the polynomial mu^{-1} = u = (q - pi^{p-1})/p = sum C(p, k+1)/p pi^k,
     gamma(pi) = pi pi_c,   gamma(u) = sum_k u_k (pi pi_c)^k,   S = phi(pi_c),
     nu = gamma(q mu) = p + (pi pi_c)^{p-1} gamma(u)^{-1}
 
-hold exactly at truncation.
+hold exactly at truncation.  q, u, mu and q mu do not depend on c: one set
+of them per (ctx, order) is shared by every c and alone builds P.
 
 Everything between the ingredients and the returned matrices stays in the
 packed kernel (`_kernel.py`), for every residue degree f.  The solver step
@@ -58,14 +59,13 @@ from .errors import CongruenceFailure, NonConvergence, NotAUnit
 from .aplus import (
     APlusSeries,
     binomial_column,
-    binomial_exact,
     exact_div_pi,
     gamma_series,  # noqa: F401  (bench/tracing.py wraps wach.gamma_series)
     gamma_table,
     invert_series,
+    mu_inverse_coeffs,
     phi_series,
     phi_table,
-    q_mu_series,
     q_series,
     series_kernel,
     shift_pi,
@@ -123,51 +123,66 @@ def _difference_valuation(pairs, ker, weight):
 # ---------------------------------------------------------------------------
 
 class _Ingredients:
-    """Everything that depends only on (ctx, order, c): shared by all modules
-    with the same prime and working precision.  Built from ring identities
-    with no gamma substitution (see the module docstring)."""
+    """The series behind P, Q, H and G at (ctx, order), from ring identities
+    (see the module docstring).  The c-free set (c = None) holds q, muinv = u,
+    mu and qmu; the set of a c shares them and adds pi_c, S, nu, rho and tau.
+    Powers are made when first read; `packed` reads them at lower orders."""
 
-    def __init__(self, ctx, order, c):
+    _C_FREE = ("q", "muinv", "mu", "qmu")
+
+    def __init__(self, ctx, order, c=None):
         p = ctx.p
+        self.ctx, self.order, self.c = ctx, order, c
+        self._powers, self._packed = {}, {}
+        u = mu_inverse_coeffs(p)
+        if c is None:
+            self.q = q_series(ctx, order)
+            self.muinv = APlusSeries(ctx, order, u)
+            self.mu = invert_series(self.muinv)
+            self.qmu = shift_pi(self.mu, p - 1).truncate(order) + p  # p + pi^{p-1} mu
+            return
         if c % p == 0:
             raise NotAUnit(f"character value {c} is divisible by p={p}")
-        self.ctx, self.order, self.c = ctx, order, c
-        self.q = q_series(ctx, order)
-        # mu^{-1} = u = (q - pi^{p-1})/p, the polynomial sum C(p, k+1)/p pi^k
-        u = [binomial_exact(p, k + 1) // p for k in range(p - 1)]
-        self.mu_inv = APlusSeries(ctx, order, u)
-        self.mu = invert_series(self.mu_inv)
-        self.qmu = shift_pi(self.mu, p - 1).truncate(order) + p  # p + pi^{p-1} mu
+        self.base = base = _ingredients(ctx, order)
+        self.q, self.muinv, self.mu, self.qmu = base.q, base.muinv, base.mu, base.qmu
         # pi_c = ((1+pi)^c - 1)/pi, so gamma(pi) = pi pi_c
         col = binomial_column(c, order, ctx.pN)
         self.pi_c = APlusSeries(ctx, order, col[1:])
-        g = _powers(shift_pi(self.pi_c, 1).truncate(order), p)  # gamma(pi)^k
-        # gamma(mu^{-1}) = sum_k u_k gamma(pi)^k
-        mu_inv_gamma = sum((gk * uk for uk, gk in zip(u, g)), APlusSeries.zero(ctx, order))
+        g = shift_pi(self.pi_c, 1).truncate(order)
+        # gamma(mu^{-1}) = sum_k u_k gamma(pi)^k; gk ends at gamma(pi)^{p-1}
+        gk, mu_inv_gamma = APlusSeries.one(ctx, order), APlusSeries.zero(ctx, order)
+        for uk in u:
+            mu_inv_gamma, gk = mu_inv_gamma + gk * uk, gk * g
         # nu = gamma(q mu) = p + gamma(pi)^{p-1} gamma(mu^{-1})^{-1}
-        self.nu = g[p - 1] * invert_series(mu_inv_gamma) + p
+        self.nu = gk * invert_series(mu_inv_gamma) + p
         # S = ((1+pi)^{pc}-1)/((1+pi)^p-1) = phi(pi_c)
         self.S = phi_series(self.pi_c)
         # rho = q / gamma(q mu) = pi_c * S^{-1} * gamma(mu^{-1})
         self.rho = self.pi_c * invert_series(self.S) * mu_inv_gamma
         # tau = q mu / gamma(q mu), congruent to 1 mod pi^{p-1}
         self.tau = self.rho * self.mu
-        self.q_powers = _powers(self.q, p)
-        self.rho_powers = _powers(self.rho, p)
-        self.tau_powers = _powers(self.tau, p)
-        self.qmu_powers = _powers(self.qmu, p)
-        self.nu_powers = _powers(self.nu, p)
-        self.muinv_powers = _powers(self.mu_inv, p)
-        self._packed: dict = {}
+
+    def _owner(self, name):
+        return self.base if self.c is not None and name in self._C_FREE else self
+
+    def power(self, name: str, r: int):
+        """self.<name>^r, cached with every lower power: built up one
+        product at a time from the highest power already cached."""
+        owner = self._owner(name)
+        powers = owner._powers.setdefault(name, [])
+        s = getattr(owner, name)
+        while len(powers) <= r:
+            powers.append(powers[-1] * s if powers else APlusSeries.one(self.ctx, self.order))
+        return powers[r]
 
     def packed(self, name: str, r: int, n: int) -> int:
-        """self.<name>_powers[r] truncated to pi^n, packed; cached."""
+        """self.<name>^r truncated to pi^n, packed; cached."""
+        owner = self._owner(name)
         key = (name, r, n)
-        v = self._packed.get(key)
+        v = owner._packed.get(key)
         if v is None:
-            ker = series_kernel(self.ctx, n)
-            v = self._packed[key] = ker.pack(
-                getattr(self, name + "_powers")[r].truncate(n).raw())
+            v = owner._packed[key] = series_kernel(self.ctx, n).pack(
+                self.power(name, r).truncate(n).raw())
         return v
 
     def packed_product(self, a, b, n: int) -> int:
@@ -185,18 +200,10 @@ class _Ingredients:
         return self.packed_product(*a, n) if isinstance(a[0], tuple) else self.packed(*a, n)
 
 
-def _powers(s, p):
-    """s^0 .. s^{p-1} (jumps never exceed p-1)."""
-    out = [APlusSeries.one(s.ctx, s.order)]
-    for _ in range(p - 1):
-        out.append(out[-1] * s)
-    return out
-
-
 _ingredient_cache: dict = {}
 
 
-def _ingredients(ctx, order, c) -> _Ingredients:
+def _ingredients(ctx, order, c=None) -> _Ingredients:
     key = (ctx, order, c)
     v = _ingredient_cache.get(key)
     if v is None:
@@ -211,14 +218,9 @@ def _ingredients(ctx, order, c) -> _Ingredients:
 def build_P(D: FilPhiModule, order: int | None = None):
     """P = Diag((q mu)^{r_i}) A; congruent to the Frobenius matrix of D
     mod pi^{p-1} because (q mu)^s = p^s there."""
-    ctx = D.ctx
-    order = order or default_order(ctx)
-    return _assemble_P(D, _powers(q_mu_series(ctx, order), ctx.p))
-
-
-def _assemble_P(D: FilPhiModule, qmu_powers):
+    ing = _ingredients(D.ctx, order or default_order(D.ctx))
     A = D.A.entries
-    return [[qmu_powers[D.jumps[i]] * A[i][j] for j in range(D.d)]
+    return [[ing.power("qmu", D.jumps[i]) * A[i][j] for j in range(D.d)]
             for i in range(D.d)]
 
 
@@ -238,7 +240,7 @@ def compute_Q(D: FilPhiModule, c: int, order: int | None = None):
     ing = _ingredients(ctx, order, c)
     rs = sorted(set(jumps))
     for r in rs:
-        t = ing.tau_powers[r]
+        t = ing.power("tau", r)
         if (t - t.constant_term()).truncate(p - 1).pi_valuation() is not None:
             raise CongruenceFailure(
                 f"gamma(P^-1)P != Id mod pi^{p - 1} at jump {r}")
@@ -248,7 +250,7 @@ def compute_Q(D: FilPhiModule, c: int, order: int | None = None):
     # s_ij^r = sum_{k: r_k = r} (A^{-1})_ik A_kj
     mh = order - (p - 1)
     ker = series_kernel(ctx, mh)
-    cols = [ker.pack(exact_div_pi(ing.tau_powers[r] - 1, p - 1).raw()) for r in rs]
+    cols = [ker.pack(exact_div_pi(ing.power("tau", r) - 1, p - 1).raw()) for r in rs]
     a, b, zero = D.A.inverse().entries, D.A.entries, OFElement(ctx, 0)
     return _series(ctx, mh, [[ker.unpack(ker.dot(
         [ker.scalar(sum((a[i][k] * b[k][j] for k in range(d) if jumps[k] == r),
@@ -347,8 +349,7 @@ def gamma_matrix(D: FilPhiModule, c: int, order: int | None = None,
     direct substitution (independent of the solver's internal identities)."""
     ctx = D.ctx
     order = order or default_order(ctx)
-    ing = _ingredients(ctx, order, c)
-    P = _assemble_P(D, ing.qmu_powers)
+    P = build_P(D, order)
     Q = compute_Q(D, c, order)
     H, iterations = solve_H(D, c, order, initial=initial, Q=Q)
     # G = Id + pi^{p-1} H is known one pi^{p-1}-step beyond H's order
@@ -409,12 +410,9 @@ def check_q_cokernel(W: WachData) -> bool:
     """q^{r_d} P^{-1} is integral: certified by constructing the candidate
     A^{-1} Diag(q^{r_d - r_i} mu^{-r_i}) and verifying its product with P is
     q^{r_d} Id at truncation."""
-    D = W.D
-    ctx = D.ctx
-    order = W.order
-    ing = _ingredients(ctx, order, W.c)
-    r_top = D.jumps[-1]
-    d = D.d
+    D, order = W.D, W.order
+    ctx, d, r_top = D.ctx, D.d, D.jumps[-1]
+    ing = _ingredients(ctx, order)
     # (cand P)_ij = sum_k (A^{-1})_ik (q^{r_top - r_k} mu^{-r_k} P_kj)
     ker = series_kernel(ctx, order)
     P = _pack(ker, W.P)

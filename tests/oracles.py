@@ -553,7 +553,9 @@ class IngredientsRef:
     """The series of `wach._Ingredients` on `SeriesRef`, by another route:
     mu by inverting u, mu^{-1} by inverting mu back, both gamma images by
     Horner substitution (`gamma_ref`) and S from `S_ref`, where the library
-    uses ring identities and substitutes gamma into nothing."""
+    uses ring identities and substitutes gamma into nothing.  `power` splits
+    s^r as s^{r//2} s^{r - r//2}, where the library multiplies the power
+    below by s."""
 
     def __init__(self, ctx, order, c):
         p = ctx.p
@@ -564,12 +566,17 @@ class IngredientsRef:
         self.S = S = S_ref(ctx, order, c)
         pi_c = SeriesRef(ctx, order, [_binom(c, k + 1) for k in range(order)])
         rho = pi_c * invert_ref(S) * gamma_ref(mu_inv, c)
-        for name, s in (("q", q), ("rho", rho), ("tau", rho * mu), ("qmu", qmu),
-                        ("nu", gamma_ref(qmu, c)), ("muinv", mu_inv)):
-            powers = [SeriesRef(ctx, order, [1])]
-            for _ in range(p - 1):
-                powers.append(powers[-1] * s)
-            setattr(self, name + "_powers", powers)
+        self._series = {"q": q, "rho": rho, "tau": rho * mu, "qmu": qmu,
+                        "nu": gamma_ref(qmu, c), "muinv": mu_inv}
+        self._powers = {}
+
+    def power(self, name, r):
+        key = (name, r)
+        if key not in self._powers:
+            s = self._series[name]
+            self._powers[key] = (SeriesRef(s.ctx, s.order, [1]) if r == 0 else s if r == 1
+                                 else self.power(name, r // 2) * self.power(name, r - r // 2))
+        return self._powers[key]
 
 
 #: The series ring a lattice oracle computes in.  LIBRARY: `APlusSeries`, the
@@ -631,11 +638,11 @@ def lattice_oracle(D, c, order, initial=None, ring=LIBRARY):
     ing = ring.ingredients(ctx, order, c)
     ainv = D.A.inverse().entries
     mh = order - (p - 1)
-    P = [[ing.qmu_powers[D.jumps[i]] * A[i][j] for j in range(d)] for i in range(d)]
-    w = {r: ring.div(ing.tau_powers[r] - 1, p - 1) for r in set(D.jumps)}
+    P = [[ing.power("qmu", D.jumps[i]) * A[i][j] for j in range(d)] for i in range(d)]
+    w = {r: ring.div(ing.power("tau", r) - 1, p - 1) for r in set(D.jumps)}
     Q = [[_sum_series([w[D.jumps[k]] * (ainv[i][k] * A[k][j]) for k in range(d)])
           for j in range(d)] for i in range(d)]
-    z = {r: (ing.q_powers[p - 1 - r] * ing.rho_powers[r]).truncate(mh)
+    z = {r: (ing.power("q", p - 1 - r) * ing.power("rho", r)).truncate(mh)
          for r in set(D.jumps)}
     C = [[z[D.jumps[j]] * ainv[i][j] for j in range(d)] for i in range(d)]
     Ph = [[e.truncate(mh) for e in row] for row in P]
@@ -673,7 +680,7 @@ def residual_oracle(D, c, P, G, order, ring=LIBRARY):
     """Combined valuation of gamma(P) G - phi(G) P, gamma(P) taken as
     Diag(gamma(q mu)^{r_i}) A; None when it vanishes."""
     ing = ring.ingredients(D.ctx, order, c)
-    gP = [[ing.nu_powers[D.jumps[i]] * D.A.entries[i][j] for j in range(D.d)]
+    gP = [[ing.power("nu", D.jumps[i]) * D.A.entries[i][j] for j in range(D.d)]
           for i in range(D.d)]
     residual = _smat_sub(_smat_mul(gP, G),
                          _smat_mul([[ring.phi(g) for g in row] for row in G], P))
@@ -685,10 +692,10 @@ def q_cokernel_oracle(D, c, P, order, ring=LIBRARY):
     ing = ring.ingredients(D.ctx, order, c)
     ainv = D.A.inverse().entries
     r_top, d = D.jumps[-1], D.d
-    cand = [[(ing.q_powers[r_top - D.jumps[j]] * ing.muinv_powers[D.jumps[j]])
+    cand = [[(ing.power("q", r_top - D.jumps[j]) * ing.power("muinv", D.jumps[j]))
              * ainv[i][j] for j in range(d)] for i in range(d)]
     prod = _smat_mul(cand, P)
-    return all((prod[i][j] - ing.q_powers[r_top] if i == j else prod[i][j])
+    return all((prod[i][j] - ing.power("q", r_top) if i == j else prod[i][j])
                .pi_valuation() is None for i in range(d) for j in range(d))
 
 

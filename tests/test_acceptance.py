@@ -32,7 +32,6 @@ from wachlab.aplus import (
     APlusSeries,
     gamma_series,
     phi_series,
-    q_mu_series,
     q_series,
 )
 from wachlab.cep import cep_check, gamma_star_window_unit, tam_exponent
@@ -55,7 +54,7 @@ from wachlab.iwasawa import (
     twist_minus1,
 )
 from wachlab.jobs import build_module, format_job, generate_corpus, parse_job, run_job
-from wachlab.wach import check_q_cokernel, gamma_matrix
+from wachlab.wach import _ingredients, check_q_cokernel, gamma_matrix
 
 PRIMES = (3, 5, 7)
 SEED = 20260809
@@ -165,7 +164,7 @@ def test_criterion_4_ring_identities():
     for p in PRIMES:
         ctx = PrecisionContext(p, 12)
         # mu^s q^s = p^s mod pi^{p-1}, every s in [0, p-1]
-        qmu = q_mu_series(ctx, 3 * (p - 1))
+        qmu = _ingredients(ctx, 3 * (p - 1)).qmu
         acc = APlusSeries.one(ctx, 3 * (p - 1))
         for s in range(p):
             assert acc.coeffs[0] == OFElement(ctx, pow(p, s, ctx.pN))

@@ -28,11 +28,10 @@ from wachlab.aplus import (
     invert_series,
     mu_series,
     phi_series,
-    q_mu_series,
     q_series,
     series_kernel,
 )
-from wachlab import wach
+from wachlab import aplus, wach
 from wachlab._kernel import SeriesKernel
 from wachlab.filmod import FilPhiModule, top_slope_absent, unit_root_rank
 from wachlab.wach import (
@@ -167,8 +166,62 @@ class TestIngredients:
         ing, ref = wach._Ingredients(ctx, order, c), IngredientsRef(ctx, order, c)
         assert ing.S.raw() == ref.S.raw()
         for name in ("q", "rho", "tau", "qmu", "nu", "muinv"):
-            mine, theirs = getattr(ing, name + "_powers"), getattr(ref, name + "_powers")
-            assert [s.raw() for s in mine] == [s.raw() for s in theirs], name
+            for r in range(p):
+                assert ing.power(name, r).raw() == ref.power(name, r).raw(), (name, r)
+
+    def test_c_free_series_shared(self, monkeypatch):
+        # the three sets of a cocycle check share one c-free set: mu is
+        # inverted once, and each c inverts only gamma(mu^{-1}) and S
+        monkeypatch.setattr(wach, "_ingredient_cache", {})
+        calls, invert = [], wach.invert_series
+        monkeypatch.setattr(wach, "invert_series",
+                            lambda s: calls.append(1) or invert(s))
+        ctx = PrecisionContext(5, 3)
+        D = eligible_random(ctx, 2, random.Random(24))
+        order = default_order(ctx)
+        assert check_cocycle(D, 6, -1, order)
+        sets = [wach._ingredient_cache[(ctx, order, c)] for c in (6, -1, -6)]
+        assert len({id(ing.mu) for ing in sets}) == 1
+        assert sets[0].mu is wach._ingredient_cache[(ctx, order, None)].mu
+        assert len(calls) == 1 + 2 * len(sets)
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    @pytest.mark.parametrize("f", (1, 2))
+    def test_build_P_from_the_c_free_set(self, p, f, monkeypatch):
+        # P is read off the shared set: built once, then with no inversion,
+        # and it is the P of every gamma_matrix
+        ctx = PrecisionContext(p, 2, f)
+        D = eligible_random(ctx, 2, random.Random(25))
+        order = default_order(ctx)
+        P = build_P(D, order)
+        calls, invert = [], wach.invert_series
+        with monkeypatch.context() as m:
+            for mod in (wach, aplus):
+                m.setattr(mod, "invert_series", lambda s: calls.append(1) or invert(s))
+            assert raw_matrix(build_P(D, order)) == raw_matrix(P)
+        assert calls == []
+        assert raw_matrix(gamma_matrix(D, 1 + p, order).P) == raw_matrix(P)
+
+    def test_powers_on_demand(self, monkeypatch):
+        # a rank-1, jump-1 module reads only the first power of each series
+        # but q (whose power p-1-r enters the solver weight)
+        monkeypatch.setattr(wach, "_ingredient_cache", {})
+        ctx = PrecisionContext(7, 3)
+        D = FilPhiModule(ctx, [1], OFMatrix(ctx, [[3]]))
+        order = default_order(ctx)
+        assert gamma_matrix(D, 8, order).residual_zero
+        for ing in wach._ingredient_cache.values():
+            for name in ("qmu", "nu", "tau", "rho", "muinv"):
+                assert len(ing._powers.get(name, ())) <= 2, (ing.c, name)
+
+    def test_high_jump_power(self, monkeypatch):
+        # (q mu)^995 at p = 997 is built by a loop, not by recursion; the
+        # powers (~9 MiB) go with the cache afterwards
+        monkeypatch.setattr(wach, "_ingredient_cache", {})
+        ctx = PrecisionContext(997, 1)
+        D = FilPhiModule(ctx, [995], OFMatrix(ctx, [[1]]))
+        P = build_P(D, 998)
+        assert P[0][0].constant_term() == OFElement(ctx, 0)
 
     def test_no_gamma_table(self, monkeypatch):
         # a lattice build substitutes gamma into nothing: fresh kernels hold
