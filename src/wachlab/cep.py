@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import Degenerate, NotExact, PrecisionLoss
 from .filmod import FilPhiModule, dual_twist, hodge_invariants
-from .padic import OFMatrix, rational_reduce, smith_normal_form, vp_fraction
+from .padic import OFMatrix, _coordinates, rational_reduce, smith_normal_form, vp_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +126,10 @@ class ExactSequenceLadder:
 
     Maps are matrices in the column convention (map i sends L_{i-1} to L_i,
     shape rank(L_i) x rank(L_{i-1})); consecutive maps must compose to 0 at
-    precision.  Lattice labels are kept for report output only.
+    precision.
     """
 
-    def __init__(self, maps, labels=None):
+    def __init__(self, maps):
         if not maps:
             raise ValueError("empty ladder")
         self.maps = list(maps)
@@ -139,82 +139,52 @@ class ExactSequenceLadder:
             comp = g * f
             if any(not e.is_zero() for row in comp.entries for e in row):
                 raise NotExact("consecutive maps do not compose to zero")
-        self.labels = list(labels) if labels else [f"L{i}" for i in
-                                                   range(len(self.maps) + 1)]
 
     def ranks(self):
         return [self.maps[0].cols] + [f.rows for f in self.maps]
 
 
-def _saturated_kernel(f: OFMatrix):
-    """Basis of the saturated kernel lattice of f, as columns (from the SNF
-    change of basis: columns of V matching zero-at-precision divisors)."""
-    snf = smith_normal_form(f)
-    n = f.cols
-    cols = [i for i in range(n)
-            if i >= len(snf.exponents) or snf.exponents[i] is None]
-    if not cols:
-        return None
-    ctx = f.ctx
-    entries = [[snf.V.entries[i][j] for j in cols] for i in range(n)]
-    return OFMatrix(ctx, entries)
-
-
 def _finite_index_in(K: OFMatrix, img: OFMatrix) -> int:
-    """length of K-lattice / column-span(img); img columns must lie in the
-    span of K's columns up to precision."""
-    snf = smith_normal_form(K)
-    if any(e != 0 for e in snf.exponents):
-        raise NotExact("kernel basis not primitive")
-    # coordinates: K X = img  =>  X = V D^{-1} U img (unit divisors)
-    lifted = snf.U * img
-    r = K.cols
-    for i in range(r, K.rows):
-        if any(not e.is_zero() for e in lifted.entries[i]):
-            raise NotExact("image does not lie in the kernel of the next map")
-    coords = OFMatrix(K.ctx, lifted.entries[:r])
-    dinv = [snf.D.entries[i][i].unit_inverse() for i in range(r)]
-    coords = OFMatrix(K.ctx, [[dinv[i] * e for e in coords.entries[i]]
-                              for i in range(r)])
-    coords = snf.V * coords
-    sub = smith_normal_form(coords)
-    if sub.rank != r:
-        raise NotExact("rank drop: sequence not exact after inverting p")
-    return sum(e for e in sub.exponents if e is not None)
+    """length of the row lattice of K over the column span of img; img's
+    columns must lie in K's row lattice at precision."""
+    C = _coordinates(smith_normal_form(K), img.transpose())
+    if C is None:
+        raise NotExact("image does not lie in the kernel of the next map")
+    return sum(e for e in smith_normal_form(C).exponents if e is not None)
 
 
-def exact_sequence_exponent(L: ExactSequenceLadder, base: str | None = None) -> int:
+def exact_sequence_exponent(L: ExactSequenceLadder) -> int:
     """p-valuation of the canonical trivialization of the alternating
     determinant line, as an alternating sum of finite homology lengths.
 
     Signs are normalized so that 0 -> M --p.id--> M -> coker -> 0 measured
     against det(coker) yields +rank(M); the value is additive under direct
     sums and invariant under unimodular base change of any lattice.
+
+    Each map is Smith-reduced once.  The saturated kernel of map i is
+    spanned by the columns of its V past the rank; they are primitive, so
+    the coordinates of map i-1 in them have map i-1's elementary divisors,
+    and the bookkeeping check already gives them full rank.
     """
     maps = L.maps
     k = len(maps)
     ranks = L.ranks()
+    snfs = [smith_normal_form(m) for m in maps]
     lengths = []
     # position 0: kernel of the first map must vanish at precision
-    snf0 = smith_normal_form(maps[0])
-    if snf0.rank != ranks[0]:
+    if snfs[0].rank != ranks[0]:
         raise NotExact("first map has a kernel: not exact at the left end")
     lengths.append(0)
     for i in range(1, k):
-        ker = _saturated_kernel(maps[i])
-        rank_prev = smith_normal_form(maps[i - 1]).rank
-        ker_rank = 0 if ker is None else ker.cols
-        if rank_prev != ker_rank:
+        ker = snfs[i].V.transpose().entries[snfs[i].rank:]
+        if snfs[i - 1].rank != len(ker):
             raise NotExact(f"rank bookkeeping fails at position {i}")
-        if ker is None:
-            lengths.append(0)
-        else:
-            lengths.append(_finite_index_in(ker, maps[i - 1]))
+        lengths.append(_finite_index_in(OFMatrix(maps[i].ctx, ker), maps[i - 1])
+                       if ker else 0)
     # rightmost position: coker of the last map
-    snf_last = smith_normal_form(maps[-1])
-    if snf_last.rank != ranks[-1]:
+    if snfs[-1].rank != ranks[-1]:
         raise NotExact("last map is not surjective after inverting p")
-    lengths.append(sum(e for e in snf_last.exponents if e is not None))
+    lengths.append(sum(e for e in snfs[-1].exponents if e is not None))
     total = 0
     for i, ell in enumerate(lengths):
         sign = 1 if (k - i) % 2 == 0 else -1

@@ -10,7 +10,10 @@ twist by `shift` of the stored normalized one, so the actual filtration
 jump positions are r_i + shift.
 
 Raw presentations (any basis, explicit filtration sublattices) can be
-tested for strong divisibility and converted to adapted form.
+tested for strong divisibility and converted to adapted form.  Each
+filtration lattice is Smith-reduced once: its row basis and the coordinates
+of other rows in it come off that one reduction, the coordinates from X V
+and the divisors (`padic._row_basis`, `padic._coordinates`).
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .padic import (
     OFElement,
     OFMatrix,
     PrecisionContext,
+    _coordinates,
+    _row_basis,
     newton_slopes,
     semilinear_stable_rank,
     smith_normal_form,
@@ -103,6 +108,8 @@ class RawFilPhiModule:
     def __init__(self, ctx: PrecisionContext, Phi: OFMatrix, fil_gens):
         if Phi.rows != Phi.cols:
             raise ValidationError("Phi must be square")
+        if Phi.ctx != ctx:
+            raise ValidationError("matrix context mismatch")
         self.ctx = ctx
         self.d = Phi.rows
         self.Phi = Phi
@@ -113,6 +120,8 @@ class RawFilPhiModule:
             else:
                 if not isinstance(g, OFMatrix):
                     g = OFMatrix(ctx, g)
+                if g.ctx != ctx:
+                    raise ValidationError("matrix context mismatch")
                 if g.cols != self.d:
                     raise ValidationError("filtration generator width mismatch")
                 gens.append(g)
@@ -122,68 +131,8 @@ class RawFilPhiModule:
         for lower, higher in zip(self.fil_gens, self.fil_gens[1:]):
             if higher is None:
                 continue
-            if lower is None or not _lattice_contains_all(lower, higher):
+            if lower is None or _coordinates(smith_normal_form(lower), higher) is None:
                 raise ValidationError("filtration sublattices must decrease")
-
-
-# ---------------------------------------------------------------------------
-# row-lattice helpers
-# ---------------------------------------------------------------------------
-
-def _row_basis(G: OFMatrix):
-    """A basis of the row lattice of G: rows d_i * (V^{-1} row i) from the SNF.
-
-    Returns (basis_matrix, exponents of the nonzero divisors)."""
-    snf = smith_normal_form(G)
-    vinv = snf.V.inverse()
-    rows = []
-    exps = []
-    for i, e in enumerate(snf.exponents):
-        if e is None:
-            continue
-        d_i = snf.D.entries[i][i]
-        rows.append([d_i * x for x in vinv.entries[i]])
-        exps.append(e)
-    return OFMatrix(G.ctx, rows) if rows else None, exps
-
-
-def _solve_in_basis(basis: OFMatrix, X: OFMatrix):
-    """Coordinates C with C * basis == X, or None if X is not in the span.
-
-    basis rows are a lattice basis (full row rank)."""
-    snf = smith_normal_form(basis)
-    r = len([e for e in snf.exponents if e is not None])
-    if r != basis.rows:
-        return None
-    # basis = U^{-1} D V^{-1}; C * basis = X  <=>  (C U^{-1}) D = X V
-    W = X * snf.V
-    ctx = basis.ctx
-    crows = []
-    for xrow in W.entries:
-        # columns beyond the rank must vanish for X to lie in the span
-        if any(not x.is_zero() for x in xrow[basis.rows:]):
-            return None
-        crow = []
-        for i in range(basis.rows):
-            e = snf.exponents[i]
-            d_i = snf.D.entries[i][i]
-            val = xrow[i]
-            if e:
-                try:
-                    val = val.divide_exact_p(e)
-                except PrecisionLoss:
-                    return None
-                d_i = d_i.divide_exact_p(e)
-            crow.append(val * d_i.unit_inverse())
-        crows.append(crow)
-    return OFMatrix(ctx, crows) * snf.U
-
-
-def _lattice_contains_all(G: OFMatrix, X: OFMatrix) -> bool:
-    basis, _ = _row_basis(G)
-    if basis is None:
-        return all(e.is_zero() for row in X.entries for e in row)
-    return _solve_in_basis(basis, X) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +171,10 @@ def strong_divisibility_check(raw: RawFilPhiModule):
 
 
 def _extract_adapted(raw: RawFilPhiModule):
-    """Adapted basis (jumps, A) from split filtration flags, top level down."""
+    """Adapted basis (jumps, A) from split filtration flags, top level down.
+
+    Each level is Smith-reduced once: its row basis and the coordinates of
+    the rows picked so far both come off that reduction."""
     ctx = raw.ctx
     top = len(raw.fil_gens) - 1
     picked: list = []   # rows, deepest level first
@@ -231,34 +183,25 @@ def _extract_adapted(raw: RawFilPhiModule):
         gens = raw.fil_gens[level]
         if gens is None:
             continue
-        basis, _ = _row_basis(gens)
-        if basis is None:
+        snf = smith_normal_form(gens)
+        if not snf.rank:
             continue
-        r = basis.rows
         if not picked:
-            for row in basis.entries:
-                picked.append(list(row))
-                levels.append(level)
-            continue
-        if len(picked) == r:
-            # equal rank: the flag must coincide with the span so far,
-            # otherwise the jump at this level is not split
-            if _solve_in_basis(OFMatrix(ctx, picked), basis) is None:
-                return None
-            continue
-        C = _solve_in_basis(basis, OFMatrix(ctx, picked))
-        if C is None:
-            return None  # picked not inside this flag: inconsistent input
-        snf = smith_normal_form(C)
-        if snf.rank != len(picked) or any(e != 0 for e in snf.exponents):
-            return None  # flag does not split
-        vinv = snf.V.inverse()
-        for i in range(len(picked), r):
-            w_coords = vinv.entries[i]
-            new_row = [sum((w_coords[k] * basis.entries[k][j] for k in range(r)),
-                           OFElement(ctx, 0)) for j in range(raw.d)]
-            picked.append(new_row)
-            levels.append(level)
+            new = _row_basis(snf)
+        else:
+            C = _coordinates(snf, OFMatrix(ctx, picked))
+            if C is None:
+                return None  # picked not inside this flag: inconsistent input
+            split = smith_normal_form(C)
+            if split.rank != len(picked) or any(e != 0 for e in split.exponents):
+                return None  # flag does not split
+            if snf.rank == len(picked):
+                continue  # the flag is the span so far: no jump at this level
+            # the trailing rows of V^{-1} complete picked, in this level's basis
+            complement = OFMatrix(ctx, split.V.inverse().entries[len(picked):])
+            new = complement * _row_basis(snf)
+        picked.extend(new.entries)
+        levels.extend([level] * new.rows)
     if len(picked) != raw.d:
         return None
     # increasing jump order for the presentation

@@ -563,6 +563,8 @@ class OFMatrix:
     def __mul__(self, other):
         if isinstance(other, (int, OFElement)):
             return OFMatrix(self.ctx, [[e * other for e in row] for row in self.entries])
+        if other.ctx != self.ctx:
+            raise ValueError("mixed precision contexts")
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         ctx = self.ctx
@@ -737,6 +739,36 @@ def smith_normal_form(M: OFMatrix) -> SmithNormalForm:
     D = [[a[i][i] if i == j else ctx.zero_raw() for j in range(nc)] for i in range(nr)]
     wrap = lambda m: OFMatrix(ctx, [[OFElement(ctx, e) for e in row] for row in m])
     return SmithNormalForm(wrap(U), wrap(D), wrap(V), tuple(exps))
+
+
+def _row_basis(snf: SmithNormalForm) -> OFMatrix:
+    """A basis of the row lattice of M = U^{-1} D V^{-1}: the rows
+    d_i * (V^{-1} row i) for i < rank."""
+    vinv = snf.V.inverse()
+    return OFMatrix(snf.V.ctx, [[snf.D.entries[i][i] * x for x in vinv.entries[i]]
+                                for i in range(snf.rank)])
+
+
+def _coordinates(snf: SmithNormalForm, X: OFMatrix) -> OFMatrix | None:
+    """C with C * _row_basis(snf) == X, or None when a row of X is not in the
+    row lattice.
+
+    C * basis == X is (X V)[:, i] == C[:, i] * d_i for i < rank, with the
+    columns of X V past the rank 0, so C comes off X V and the divisors.
+    Where d_i = p^e u, column i is only determined mod p^{N-e}; its
+    representative is the exact quotient by p^e."""
+    r = snf.rank
+    divisors = [(e, snf.D.entries[i][i].divide_exact_p(e).unit_inverse())
+                for i, e in enumerate(snf.exponents[:r])]
+    rows = []
+    for row in (X * snf.V).entries:
+        if any(not x.is_zero() for x in row[r:]):
+            return None
+        try:
+            rows.append([x.divide_exact_p(e) * u for x, (e, u) in zip(row, divisors)])
+        except PrecisionLoss:
+            return None
+    return OFMatrix(X.ctx, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ replaced: split the limbs, fold each slot mod the modulus, then `%` p^N
 coordinate by coordinate.  The
 Iwasawa oracle keeps every coefficient as its own `Fraction` and twists by
 Horner substitution T -> a + bT, where the library holds integer numerators
-over one denominator and twists by integer Taylor shifts.
+over one denominator and twists by integer Taylor shifts.  The row-lattice
+solvers are the earlier ones that `padic._row_basis` and
+`padic._coordinates` replaced: coordinates in a row basis by a second Smith
+reduction of that basis and a product with its U, the ladder's kernel
+index in the column convention, and each ladder map reduced once per use.
 """
 
 import itertools
@@ -25,8 +29,16 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from wachlab.aplus import APlusSeries, exact_div_pi, gamma_series, phi_series, shift_pi
-from wachlab.errors import NonConvergence, NotIntegral
-from wachlab.padic import OFElement, OFMatrix, frobenius, vp_fraction
+from wachlab.errors import (
+    NonConvergence,
+    NotAUnit,
+    NotExact,
+    NotIntegral,
+    PrecisionLoss,
+    ValidationError,
+)
+from wachlab.filmod import FilPhiModule
+from wachlab.padic import OFElement, OFMatrix, frobenius, smith_normal_form, vp_fraction
 from wachlab.wach import _ingredients
 
 
@@ -838,3 +850,195 @@ def is_lambda_unit_ref(x):
         raise NotIntegral("element has p-power denominators")
     return all(comp[0] != 0 and vp_fraction(comp[0], x.ctx.p) == 0
                for comp in x.components)
+
+
+# ---------------------------------------------------------------------------
+# row-lattice solvers as they were before padic._row_basis/_coordinates:
+# coordinates by a second Smith reduction of the row basis, and the ladder's
+# kernel from a second reduction of each map
+# ---------------------------------------------------------------------------
+
+def row_basis_ref(G):
+    """(basis, exponents): rows d_i * (V^{-1} row i) of G's Smith form, or
+    None for the zero lattice."""
+    snf = smith_normal_form(G)
+    vinv = snf.V.inverse()
+    rows = []
+    exps = []
+    for i, e in enumerate(snf.exponents):
+        if e is None:
+            continue
+        d_i = snf.D.entries[i][i]
+        rows.append([d_i * x for x in vinv.entries[i]])
+        exps.append(e)
+    return OFMatrix(G.ctx, rows) if rows else None, exps
+
+
+def solve_in_basis_ref(basis, X):
+    """C with C * basis == X, or None; basis rows are a lattice basis."""
+    snf = smith_normal_form(basis)
+    r = len([e for e in snf.exponents if e is not None])
+    if r != basis.rows:
+        return None
+    W = X * snf.V
+    crows = []
+    for xrow in W.entries:
+        if any(not x.is_zero() for x in xrow[basis.rows:]):
+            return None
+        crow = []
+        for i in range(basis.rows):
+            e = snf.exponents[i]
+            d_i = snf.D.entries[i][i]
+            val = xrow[i]
+            if e:
+                try:
+                    val = val.divide_exact_p(e)
+                except PrecisionLoss:
+                    return None
+                d_i = d_i.divide_exact_p(e)
+            crow.append(val * d_i.unit_inverse())
+        crows.append(crow)
+    return OFMatrix(basis.ctx, crows) * snf.U
+
+
+def lattice_contains_all_ref(G, X):
+    basis, _ = row_basis_ref(G)
+    if basis is None:
+        return all(e.is_zero() for row in X.entries for e in row)
+    return solve_in_basis_ref(basis, X) is not None
+
+
+def decreasing_ref(fil_gens):
+    """The decreasing-flag verdict of the RawFilPhiModule constructor."""
+    for lower, higher in zip(fil_gens, fil_gens[1:]):
+        if higher is not None and (lower is None
+                                   or not lattice_contains_all_ref(lower, higher)):
+            return False
+    return True
+
+
+def strong_divisibility_check_ref(raw):
+    """(flag, adapted) as filmod.strong_divisibility_check, through the
+    solvers above."""
+    ctx = raw.ctx
+    if any(g is not None and g.rows > 0 for g in raw.fil_gens[ctx.p:]):
+        raise ValidationError("filtration window exceeds [0, p-1]")
+    stacked = []
+    for level, gens in enumerate(raw.fil_gens):
+        if gens is None:
+            continue
+        img = gens.frobenius_map() * raw.Phi if ctx.f > 1 else gens * raw.Phi
+        for row in img.entries:
+            try:
+                stacked.append([e.divide_exact_p(level) for e in row] if level
+                               else list(row))
+            except PrecisionLoss:
+                return False, None
+    snf = smith_normal_form(OFMatrix(ctx, stacked))
+    if not (snf.rank == raw.d and all(e == 0 for e in snf.exponents[:raw.d])):
+        return False, None
+    return True, extract_adapted_ref(raw)
+
+
+def extract_adapted_ref(raw):
+    ctx = raw.ctx
+    picked: list = []
+    levels: list = []
+    for level in range(len(raw.fil_gens) - 1, -1, -1):
+        gens = raw.fil_gens[level]
+        if gens is None:
+            continue
+        basis, _ = row_basis_ref(gens)
+        if basis is None:
+            continue
+        r = basis.rows
+        if not picked:
+            for row in basis.entries:
+                picked.append(list(row))
+                levels.append(level)
+            continue
+        if len(picked) == r:
+            if solve_in_basis_ref(OFMatrix(ctx, picked), basis) is None:
+                return None
+            continue
+        C = solve_in_basis_ref(basis, OFMatrix(ctx, picked))
+        if C is None:
+            return None
+        snf = smith_normal_form(C)
+        if snf.rank != len(picked) or any(e != 0 for e in snf.exponents):
+            return None
+        vinv = snf.V.inverse()
+        for i in range(len(picked), r):
+            w_coords = vinv.entries[i]
+            picked.append([sum((w_coords[k] * basis.entries[k][j] for k in range(r)),
+                               OFElement(ctx, 0)) for j in range(raw.d)])
+            levels.append(level)
+    if len(picked) != raw.d:
+        return None
+    order = list(range(raw.d))[::-1]
+    B = OFMatrix(ctx, [picked[i] for i in order])
+    jumps = tuple(levels[i] for i in order)
+    try:
+        phi_new = (B.frobenius_map() if ctx.f > 1 else B) * raw.Phi * B.inverse()
+    except NotAUnit:
+        return None
+    rows = []
+    for r_i, row in zip(jumps, phi_new.entries):
+        try:
+            rows.append([e.divide_exact_p(r_i) for e in row] if r_i else list(row))
+        except PrecisionLoss:
+            return None
+    try:
+        return FilPhiModule(ctx, jumps, OFMatrix(ctx, rows), shift=0)
+    except ValidationError:
+        return None
+
+
+def saturated_kernel_ref(f):
+    """Saturated kernel of f as columns of its V past the rank, or None."""
+    snf = smith_normal_form(f)
+    n = f.cols
+    cols = [i for i in range(n) if i >= len(snf.exponents) or snf.exponents[i] is None]
+    if not cols:
+        return None
+    return OFMatrix(f.ctx, [[snf.V.entries[i][j] for j in cols] for i in range(n)])
+
+
+def finite_index_in_ref(K, img):
+    """length of the column span of K over that of img, in the column
+    convention, with U and a diagonal solve."""
+    snf = smith_normal_form(K)
+    if any(e != 0 for e in snf.exponents):
+        raise NotExact("kernel basis not primitive")
+    lifted = snf.U * img
+    r = K.cols
+    for i in range(r, K.rows):
+        if any(not e.is_zero() for e in lifted.entries[i]):
+            raise NotExact("image does not lie in the kernel of the next map")
+    dinv = [snf.D.entries[i][i].unit_inverse() for i in range(r)]
+    coords = OFMatrix(K.ctx, [[dinv[i] * e for e in lifted.entries[i]] for i in range(r)])
+    sub = smith_normal_form(snf.V * coords)
+    if sub.rank != r:
+        raise NotExact("rank drop: sequence not exact after inverting p")
+    return sum(e for e in sub.exponents if e is not None)
+
+
+def exact_sequence_exponent_ref(maps):
+    """cep.exact_sequence_exponent over a list of maps, one reduction per
+    use of a map."""
+    k = len(maps)
+    ranks = [maps[0].cols] + [f.rows for f in maps]
+    if smith_normal_form(maps[0]).rank != ranks[0]:
+        raise NotExact("first map has a kernel: not exact at the left end")
+    lengths = [0]
+    for i in range(1, k):
+        ker = saturated_kernel_ref(maps[i])
+        ker_rank = 0 if ker is None else ker.cols
+        if smith_normal_form(maps[i - 1]).rank != ker_rank:
+            raise NotExact(f"rank bookkeeping fails at position {i}")
+        lengths.append(0 if ker is None else finite_index_in_ref(ker, maps[i - 1]))
+    last = smith_normal_form(maps[-1])
+    if last.rank != ranks[-1]:
+        raise NotExact("last map is not surjective after inverting p")
+    lengths.append(sum(e for e in last.exponents if e is not None))
+    return sum((1 if (k - i) % 2 == 0 else -1) * ell for i, ell in enumerate(lengths))

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from wachlab import Degenerate, OFMatrix, PrecisionContext
+from oracles import exact_sequence_exponent_ref
+from wachlab import Degenerate, NotExact, OFMatrix, PrecisionContext, cep
 from wachlab.cep import (
     ExactSequenceLadder,
     cep_check,
@@ -19,6 +20,7 @@ from wachlab.cep import (
     tam_exponent,
 )
 from wachlab.filmod import FilPhiModule, dual_twist, top_slope_absent, unit_root_rank
+from wachlab.padic import smith_normal_form
 
 
 def module(p, N, jumps, A, shift=0):
@@ -126,7 +128,7 @@ class TestLadder:
         ctx = PrecisionContext(3, 8)
         m = OFMatrix(ctx, [[3, 0, 0], [0, 3, 0], [0, 0, 3]])
         L = ExactSequenceLadder([m])
-        assert exact_sequence_exponent(L, base="coker") == 3
+        assert exact_sequence_exponent(L) == 3
 
     def test_bete_ladder_rank_one(self):
         ctx = PrecisionContext(3, 8)
@@ -177,6 +179,83 @@ class TestLadder:
             e1 = exact_sequence_exponent(ExactSequenceLadder([m]))
             e2 = exact_sequence_exponent(ExactSequenceLadder([u * m * v]))
             assert e1 == e2
+
+
+    @pytest.mark.parametrize("maps, message", [
+        ([[[1]], [[1]]], "consecutive maps do not compose to zero"),
+        ([[[1]], [[1, 0]]], "chain shape mismatch"),
+        ([[[1, 0]]], "first map has a kernel: not exact at the left end"),
+        ([[[1], [0]]], "last map is not surjective after inverting p"),
+        ([[[1], [0]], [[0, 0]]], "rank bookkeeping fails at position 1"),
+        # 3 * 3^7 = 0 mod 3^8, but (3^7, 0) is off the saturated kernel e_2
+        ([[[3 ** 7], [0]], [[3, 0]]], "image does not lie in the kernel of the next map"),
+    ], ids=["compose", "shape", "left-kernel", "not-surjective", "bookkeeping", "off-kernel"])
+    def test_not_exact(self, maps, message):
+        ctx = PrecisionContext(3, 8)
+        with pytest.raises(NotExact) as info:
+            exact_sequence_exponent(ExactSequenceLadder([OFMatrix(ctx, m) for m in maps]))
+        assert str(info.value) == message
+
+    def test_against_reference(self):
+        """Values and NotExact messages equal to the earlier ladder code's,
+        which reduced every interior map twice and solved for the kernel
+        index in the column convention."""
+        rng = random.Random(26)
+        outcomes = set()
+        for _ in range(300):
+            ctx = PrecisionContext(rng.choice((3, 5)), rng.choice((6, 8)))
+            maps = _random_ladder_maps(ctx, rng)
+            try:
+                L = ExactSequenceLadder(maps)
+            except NotExact:
+                continue
+            results = []
+            for run in (lambda: exact_sequence_exponent(L),
+                        lambda: exact_sequence_exponent_ref(maps)):
+                try:
+                    results.append(run())
+                except NotExact as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+            outcomes.add((len(maps), type(results[0])))
+        assert outcomes == {(1, int), (1, str), (2, int), (2, str)}
+
+    def test_smith_calls(self, monkeypatch):
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return smith_normal_form(M)
+
+        monkeypatch.setattr(cep, "smith_normal_form", counted)
+        ctx = PrecisionContext(3, 8)
+        L = ExactSequenceLadder([OFMatrix(ctx, [[9], [3]]), OFMatrix(ctx, [[1, -3]])])
+        assert exact_sequence_exponent(L) == -1
+        # each map once, the kernel basis once, the image's coordinates once
+        assert len(calls) == 4
+
+
+def _random_ladder_maps(ctx, rng):
+    """One random map, or the maps of 0 -> L0 -> L1 -> L2 -> 0 made exact
+    through a unimodular W (kernel of g = W^{-1} times the trailing
+    coordinates), with p-power divisors; a quarter of the pairs get a
+    column p^{N-1} off the kernel."""
+    p = ctx.p
+    n = rng.randrange(1, 5)
+    if n == 1 or rng.randrange(4) == 0:
+        rows, cols = rng.randrange(1, 4), rng.randrange(1, 4)
+        return [OFMatrix(ctx, [[p ** rng.randrange(3) * rng.randrange(ctx.pN)
+                                for _ in range(cols)] for _ in range(rows)])]
+    rank_g = rng.randrange(1, n)
+    W = _unimodular(ctx, n, rng)
+    diag = [[p ** rng.randrange(2) if i == j else 0 for j in range(n)] for i in range(rank_g)]
+    g = _unimodular(ctx, rank_g, rng) * OFMatrix(ctx, diag) * W
+    m = n - rank_g
+    coords = [[0] * m for _ in range(rank_g)] + [
+        [p ** rng.randrange(3) * rng.randrange(ctx.pN) for _ in range(m)] for _ in range(m)]
+    if rng.randrange(4) == 0:
+        coords[0][0] = p ** (ctx.N - 1)
+    return [W.inverse() * OFMatrix(ctx, coords), g]
 
 
 def _unimodular(ctx, d, rng):

@@ -1,10 +1,13 @@
 """Filtered module layer: strong divisibility, slope flags, duality, Hodge data."""
 
+import collections
 import random
 
 import pytest
 
-from wachlab import OFMatrix, PrecisionContext, ValidationError
+from oracles import decreasing_ref, strong_divisibility_check_ref
+from wachlab import OFMatrix, PrecisionContext, ValidationError, filmod
+from wachlab.padic import smith_normal_form
 from wachlab.filmod import (
     CategoryFlags,
     FilPhiModule,
@@ -24,16 +27,62 @@ def module(p, N, jumps, A, shift=0):
     return FilPhiModule(ctx, jumps, OFMatrix(ctx, A), shift=shift)
 
 
+def unimodular(ctx, d, rng):
+    while True:
+        m = OFMatrix(ctx, [[rng.randrange(ctx.pN) for _ in range(d)] for _ in range(d)])
+        if m.det().is_unit():
+            return m
+
+
 def rand_module(ctx, d, rng, max_jump=None):
     top = ctx.p - 1 if max_jump is None else max_jump
     jumps = sorted(rng.randrange(top + 1) for _ in range(d))
-    while True:
-        A = OFMatrix(ctx, [[rng.randrange(ctx.pN) for _ in range(d)] for _ in range(d)])
-        if A.det().is_unit():
-            return FilPhiModule(ctx, jumps, A)
+    return FilPhiModule(ctx, jumps, unimodular(ctx, d, rng))
+
+
+def random_raw_inputs(ctx, rng):
+    """(Phi, fil_gens) of a random module in a random basis, with each
+    level's generators kept, given a redundant p-divisible row, replaced by
+    random combinations, given a row times p or p^2, or zeroed; sometimes
+    one more level inside the top one.  Many are rejected as not
+    decreasing, not strongly divisible or not split."""
+    p, d = ctx.p, rng.randrange(1, 4)
+    raw = rand_module(ctx, d, rng).to_raw()
+    B = unimodular(ctx, d, rng)
+    Binv = B.inverse()
+    Phi = (B.frobenius_map() if ctx.f > 1 else B) * raw.Phi * Binv
+    gens = []
+    for g in raw.fil_gens:
+        k = g.rows
+        R = [[int(i == j) for j in range(k)] for i in range(k)]
+        kind = rng.randrange(5)
+        if kind == 1:
+            R.append([p * rng.randrange(ctx.pN) for _ in range(k)])
+        elif kind == 2:
+            R = [[rng.randrange(ctx.pN) for _ in range(k)] for _ in range(k)]
+        elif kind == 3:
+            i = rng.randrange(k)
+            R[i][i] = p ** rng.randrange(1, 3)
+        elif kind == 4:
+            R = [[0] * k]
+        gens.append(OFMatrix(ctx, R) * g * Binv)
+    if rng.randrange(3) == 0:
+        level = len(gens)
+        R = [[p ** rng.randrange(level + 2) * rng.randrange(ctx.pN)
+              for _ in range(gens[-1].rows)] for _ in range(rng.randrange(1, 3))]
+        gens.append(OFMatrix(ctx, R) * gens[-1])
+    return Phi, gens
 
 
 class TestValidation:
+    def test_rejects_context_mismatch(self):
+        ctx, other = PrecisionContext(3, 6), PrecisionContext(3, 4)
+        with pytest.raises(ValidationError, match="matrix context mismatch"):
+            RawFilPhiModule(ctx, OFMatrix(other, [[3]]), [OFMatrix(ctx, [[1]])])
+        with pytest.raises(ValidationError, match="matrix context mismatch"):
+            RawFilPhiModule(ctx, OFMatrix(ctx, [[3]]),
+                            [OFMatrix(ctx, [[1]]), OFMatrix(other, [[1]])])
+
     def test_rejects_out_of_window(self):
         with pytest.raises(ValidationError):
             module(3, 6, [3], [[1]])
@@ -145,6 +194,62 @@ class TestStrongDivisibility:
                     unit_minor = True
                     break
             assert ok == unit_minor
+
+
+    def test_against_reference_solvers(self):
+        """Constructor verdict and (flag, jumps, A) equal to the earlier
+        solvers' on 200 accepted random raw modules."""
+        rng = random.Random(25)
+        outcomes = collections.Counter()
+        while outcomes["accepted"] < 200:
+            ctx = PrecisionContext(rng.choice((3, 5)), rng.choice((4, 6, 8)),
+                                   f=rng.choice((1, 2)))
+            Phi, gens = random_raw_inputs(ctx, rng)
+            try:
+                raw = RawFilPhiModule(ctx, Phi, gens)
+            except ValidationError:
+                assert not decreasing_ref(gens)
+                continue
+            assert decreasing_ref(gens)
+            outcomes["accepted"] += 1
+            results = []
+            for check in (strong_divisibility_check, strong_divisibility_check_ref):
+                try:
+                    flag, adapted = check(raw)
+                except ValidationError as exc:
+                    results.append(str(exc))
+                    continue
+                results.append((flag, adapted and (adapted.jumps, repr(adapted.A))))
+            assert results[0] == results[1]
+            r = results[0]
+            outcomes["window" if isinstance(r, str) else (r[0], r[1] is not None)] += 1
+        # split, strongly divisible but not split, not strongly divisible,
+        # window overflow
+        assert set(outcomes) == {"accepted", "window", (True, True), (True, False),
+                                 (False, False)}
+
+    def test_smith_calls(self, monkeypatch):
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return smith_normal_form(M)
+
+        monkeypatch.setattr(filmod, "smith_normal_form", counted)
+        D = module(5, 8, (0, 1, 2), [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
+        ok, adapted = strong_divisibility_check(D.to_raw())
+        assert ok and adapted == D
+        # one per decreasing-flag check, one for the lattice sum, one per
+        # level and one per split test
+        assert len(calls) <= 8
+        # Phi = 3 Id with Fil^2 = (3, 0): strongly divisible, but Fil^2 is not
+        # saturated in Fil^1, so extraction stops at level 1
+        ctx = PrecisionContext(3, 8)
+        full = OFMatrix.identity(ctx, 2)
+        raw = RawFilPhiModule(ctx, full * 3, [full, full, OFMatrix(ctx, [[3, 0]])])
+        calls.clear()
+        assert strong_divisibility_check(raw) == (True, None)
+        assert len(calls) == 4
 
 
 def _int_det(m):

@@ -19,7 +19,9 @@ from wachlab import (
     smith_normal_form,
     teichmuller,
 )
-from wachlab.padic import rational_rank
+from wachlab.padic import _coordinates, _row_basis, rational_rank
+
+from oracles import lattice_contains_all_ref, row_basis_ref, solve_in_basis_ref
 
 
 def rand_matrix(ctx, d, rng):
@@ -178,6 +180,70 @@ class TestSmithNormalForm:
         snf = smith_normal_form(m)
         assert snf.U * m * snf.V == snf.D
         assert snf.exponents == (0, 2)
+
+
+class TestRowLattice:
+    """`_row_basis` and `_coordinates` against the earlier solvers, which
+    reduced the row basis a second time and multiplied by its U."""
+
+    def test_coordinates_against_reference(self):
+        rng = random.Random(2025)
+        seen = set()
+        for p, N, f in ((3, 6, 1), (5, 8, 1), (3, 4, 2)):
+            ctx = PrecisionContext(p, N, f=f)
+            for _ in range(60):
+                d = rng.randrange(1, 5)
+                # rank <= k, with p-power divisors and dependent rows
+                k = rng.randrange(1, d + 1)
+                base = OFMatrix(ctx, [[rng.randrange(ctx.pN) * p ** rng.randrange(3)
+                                       for _ in range(d)] for _ in range(k)])
+                G = OFMatrix(ctx, [[rng.randrange(ctx.pN) * p ** rng.randrange(2)
+                                    for _ in range(k)]
+                                   for _ in range(rng.randrange(1, 5))]) * base
+                X = OFMatrix(ctx, [[rng.randrange(ctx.pN) for _ in range(G.rows)]
+                                   for _ in range(rng.randrange(1, 4))]) * G
+                if rng.randrange(2):  # nudge one entry, often off the lattice
+                    rows = [list(r) for r in X.entries]
+                    rows[0][rng.randrange(d)] += p ** rng.randrange(N)
+                    X = OFMatrix(ctx, rows)
+                snf = smith_normal_form(G)
+                basis, exps = row_basis_ref(G)
+                C = _coordinates(snf, X)
+                assert (C is not None) == lattice_contains_all_ref(G, X)
+                seen.add((snf.rank < min(G.rows, d), C is None, max(exps, default=0) > 0))
+                if basis is None:
+                    assert snf.rank == 0
+                    continue
+                assert _row_basis(snf) == basis
+                assert (C is None) == (solve_in_basis_ref(basis, X) is None)
+                if C is not None:
+                    assert C * basis == X
+        assert len(seen) == 8  # deficient rank, off-lattice and p-divisors in every mix
+
+    def test_zero_lattice(self):
+        ctx = PrecisionContext(3, 6)
+        snf = smith_normal_form(OFMatrix(ctx, [[0, 0], [9 ** 3, 0]]))
+        assert snf.rank == 0
+        assert _coordinates(snf, OFMatrix(ctx, [[0, 0]])).rows == 1
+        assert _coordinates(snf, OFMatrix(ctx, [[0, 3]])) is None
+
+    def test_divisor_checked(self):
+        # [[3, 0], [0, 1]] holds (3, 5) but not (1, 0): the p^e division fails
+        ctx = PrecisionContext(3, 6)
+        snf = smith_normal_form(OFMatrix(ctx, [[3, 0], [0, 1]]))
+        C = _coordinates(snf, OFMatrix(ctx, [[3, 5]]))
+        assert C * _row_basis(snf) == OFMatrix(ctx, [[3, 5]])
+        assert _coordinates(snf, OFMatrix(ctx, [[1, 0]])) is None
+
+
+class TestMatrixContexts:
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_mixed_contexts_rejected_both_orders(self, op):
+        a = OFMatrix(PrecisionContext(3, 4), [[80]])
+        b = OFMatrix(PrecisionContext(3, 2), [[8]])
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="mixed precision contexts"):
+                {"+": x.__add__, "-": x.__sub__, "*": x.__mul__}[op](y)
 
 
 class TestNewtonSlopes:
