@@ -87,8 +87,7 @@ def det_phi_minus_p(D: FilPhiModule):
     carries det(1 - p Phi^{-1}), the dual-side fixed-vector test."""
     _require_f1(D)
     ctx = D.ctx
-    pid = OFMatrix.identity(ctx, D.d).map(lambda e: e * ctx.p)
-    det = (D.phi_matrix() - pid).det()
+    det = (D.phi_matrix() - OFMatrix.identity(ctx, D.d) * ctx.p).det()
     return det, det.valuation()
 
 
@@ -136,8 +135,7 @@ class ExactSequenceLadder:
         for f, g in zip(self.maps, self.maps[1:]):
             if g.cols != f.rows:
                 raise NotExact("chain shape mismatch")
-            comp = g * f
-            if any(not e.is_zero() for row in comp.entries for e in row):
+            if any(any(e) for row in (g * f).raw for e in row):
                 raise NotExact("consecutive maps do not compose to zero")
 
     def ranks(self):
@@ -176,10 +174,10 @@ def exact_sequence_exponent(L: ExactSequenceLadder) -> int:
         raise NotExact("first map has a kernel: not exact at the left end")
     lengths.append(0)
     for i in range(1, k):
-        ker = snfs[i].V.transpose().entries[snfs[i].rank:]
+        ker = snfs[i].V.transpose().raw[snfs[i].rank:]
         if snfs[i - 1].rank != len(ker):
             raise NotExact(f"rank bookkeeping fails at position {i}")
-        lengths.append(_finite_index_in(OFMatrix(maps[i].ctx, ker), maps[i - 1])
+        lengths.append(_finite_index_in(OFMatrix._of(maps[i].ctx, ker), maps[i - 1])
                        if ker else 0)
     # rightmost position: coker of the last map
     if snfs[-1].rank != ranks[-1]:
@@ -241,7 +239,7 @@ def tam_exponent(D: FilPhiModule) -> int:
     tors = 0
     snf = None
     if fil0:
-        snf = smith_normal_form(OFMatrix(ctx, [list(one_minus.entries[i]) for i in fil0]))
+        snf = smith_normal_form(OFMatrix._of(ctx, tuple(one_minus.raw[i] for i in fil0)))
         if None in snf.exponents:
             raise Degenerate("(1-phi)|Fil^0 drops rank at precision",
                              reason="fil0-rank")
@@ -255,12 +253,11 @@ def tam_exponent(D: FilPhiModule) -> int:
     if snf is None:
         basis = [[int(i == j) for j in range(d)] for i in range(d)]
     else:  # free part of M / (1-phi)Fil^0 M: the trailing rows of V^{-1}
-        vinv = snf.V.inverse()
-        basis = [[e.coeffs[0] for e in vinv.entries[j]] for j in range(len(fil0), d)]
+        basis = [[e[0] for e in row] for row in snf.V.inverse().raw[len(fil0):]]
     # psi is minus the quotient coordinates of X = basis (1 - Phi)^{-1},
     # solved on the transpose: [(1 - Phi)^T | basis^T] reduces to [I | X^T]
     rank, _, reduced = rational_reduce(
-        [[one_minus.entries[j][i].coeffs[0] for j in range(d)] + [vec[i] for vec in basis]
+        [[one_minus.raw[j][i][0] for j in range(d)] + [vec[i] for vec in basis]
          for i in range(d)], d)
     if rank < d:
         raise Degenerate("1 - phi is singular over the rationals", reason="singular")

@@ -21,8 +21,7 @@ import sys
 from pathlib import Path
 
 from .errors import ParseError, ValidationError, WachlabError
-from .jobs import (SCHEMA, format_job, generate_corpus, parse_job, run_job,
-                   validate_job)
+from .jobs import SCHEMA, format_job, generate_corpus, parse_job, run_job
 
 
 def _run_one(path: str, overrides: dict) -> tuple[str, bool]:
@@ -36,21 +35,17 @@ def _run_one(path: str, overrides: dict) -> tuple[str, bool]:
         return _error_report(path, "ParseError", f"not UTF-8 text: {exc}"), False
     try:
         job = parse_job(text)
-        changed = False
-        for key, attr in (("N", "N"), ("M", "M"), ("MT", "M_T"), ("seed", "seed")):
-            if overrides.get(key) is not None:
-                setattr(job, attr, overrides[key])
-                changed = True
-        if changed:
-            validate_job(job)
     except (ParseError, ValidationError) as exc:
         detail = {"type": type(exc).__name__, "reason": str(exc)}
         if isinstance(exc, ParseError) and exc.line is not None:
             detail["line"] = exc.line
         return _error_report(path, **detail), False
+    for key, attr in (("N", "N"), ("M", "M"), ("MT", "M_T"), ("seed", "seed")):
+        if overrides.get(key) is not None:
+            setattr(job, attr, overrides[key])
     try:
         report = run_job(job)
-    except (WachlabError, ValueError) as exc:  # e.g. invalid overrides
+    except (WachlabError, ValueError) as exc:  # e.g. overrides `run_job` rejects
         return _error_report(path, type(exc).__name__, str(exc)), False
     ok = json.loads(report)["ok"]
     return report, ok

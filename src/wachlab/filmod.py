@@ -13,17 +13,18 @@ Raw presentations (any basis, explicit filtration sublattices) can be
 tested for strong divisibility and converted to adapted form.  Each
 filtration lattice is Smith-reduced once: its row basis and the coordinates
 of other rows in it come off that one reduction, the coordinates from X V
-and the divisors (`padic._row_basis`, `padic._coordinates`).
+and the divisors (`padic._row_basis`, `padic._coordinates`).  Matrices are
+built and read as raw rows (`OFMatrix.raw`), never entry by entry.
 """
 
 from __future__ import annotations
 
 from .errors import NotAUnit, PrecisionLoss, ValidationError, WindowOverflow
 from .padic import (
-    OFElement,
     OFMatrix,
     PrecisionContext,
     _coordinates,
+    _divide_rows,
     _row_basis,
     newton_slopes,
     semilinear_stable_rank,
@@ -74,11 +75,9 @@ class FilPhiModule:
         """Diag(p^{r_i}) * A: row i of A scaled by p^{r_i}."""
         if self._phi is None:
             ctx = self.ctx
-            rows = []
-            for r, row in zip(self.jumps, self.A.entries):
-                scale = OFElement(ctx, pow(ctx.p, r, ctx.pN))
-                rows.append([scale * e for e in row])
-            self._phi = OFMatrix(ctx, rows)
+            self._phi = OFMatrix._of(ctx, tuple(
+                tuple(ctx.scalar_raw(pow(ctx.p, r, ctx.pN), e) for e in row)
+                for r, row in zip(self.jumps, self.A.raw)))
         return self._phi
 
     def actual_jumps(self) -> tuple[int, ...]:
@@ -87,11 +86,11 @@ class FilPhiModule:
     def to_raw(self) -> "RawFilPhiModule":
         """Export: Phi in the adapted basis, filtration flags as identity rows."""
         ctx = self.ctx
+        ident = OFMatrix.identity(ctx, self.d).raw
         gens = []
         for level in range(self.jumps[-1] + 1 if self.jumps else 1):
-            rows = [[1 if k == i else 0 for k in range(self.d)]
-                    for i in range(self.d) if self.jumps[i] >= level]
-            gens.append(OFMatrix(ctx, rows) if rows else None)
+            rows = tuple(row for row, r in zip(ident, self.jumps) if r >= level)
+            gens.append(OFMatrix._of(ctx, rows) if rows else None)
         return RawFilPhiModule(ctx, self.phi_matrix(), gens)
 
 
@@ -100,7 +99,8 @@ class RawFilPhiModule:
 
     fil_gens[i] is a matrix whose rows generate Fil^i (None for the zero
     lattice); levels beyond the list are zero.  Level 0 must generate the
-    full lattice and the sublattices must decrease.
+    full lattice (its Smith form has rank d and unit divisors, so it holds
+    every higher level) and the sublattices must decrease.
     """
 
     __slots__ = ("ctx", "d", "Phi", "fil_gens")
@@ -126,9 +126,10 @@ class RawFilPhiModule:
                     raise ValidationError("filtration generator width mismatch")
                 gens.append(g)
         self.fil_gens = tuple(gens)
-        if not self.fil_gens or self.fil_gens[0] is None:
+        fil0 = smith_normal_form(gens[0]) if gens and gens[0] is not None else None
+        if fil0 is None or fil0.rank != self.d or any(fil0.exponents):
             raise ValidationError("Fil^0 must be the full lattice")
-        for lower, higher in zip(self.fil_gens, self.fil_gens[1:]):
+        for lower, higher in zip(self.fil_gens[1:], self.fil_gens[2:]):
             if higher is None:
                 continue
             if lower is None or _coordinates(smith_normal_form(lower), higher) is None:
@@ -155,14 +156,12 @@ def strong_divisibility_check(raw: RawFilPhiModule):
     for level, gens in enumerate(raw.fil_gens):
         if gens is None:
             continue
-        img = gens.frobenius_map() * raw.Phi if ctx.f > 1 else gens * raw.Phi
-        for row in img.entries:
-            try:
-                stacked.append([e.divide_exact_p(level) for e in row] if level
-                               else list(row))
-            except PrecisionLoss:
-                return False, None  # phi(Fil^i) not divisible by p^i
-    snf = smith_normal_form(OFMatrix(ctx, stacked))
+        try:
+            stacked.extend(_divide_rows(gens.frobenius_map() * raw.Phi,
+                                        [level] * gens.rows).raw)
+        except PrecisionLoss:
+            return False, None  # phi(Fil^i) not divisible by p^i
+    snf = smith_normal_form(OFMatrix._of(ctx, tuple(stacked)))
     full = (snf.rank == raw.d and all(e == 0 for e in snf.exponents[:raw.d]))
     if not full:
         return False, None
@@ -189,7 +188,7 @@ def _extract_adapted(raw: RawFilPhiModule):
         if not picked:
             new = _row_basis(snf)
         else:
-            C = _coordinates(snf, OFMatrix(ctx, picked))
+            C = _coordinates(snf, OFMatrix._of(ctx, tuple(picked)))
             if C is None:
                 return None  # picked not inside this flag: inconsistent input
             split = smith_normal_form(C)
@@ -198,29 +197,19 @@ def _extract_adapted(raw: RawFilPhiModule):
             if snf.rank == len(picked):
                 continue  # the flag is the span so far: no jump at this level
             # the trailing rows of V^{-1} complete picked, in this level's basis
-            complement = OFMatrix(ctx, split.V.inverse().entries[len(picked):])
+            complement = OFMatrix._of(ctx, split.V.inverse().raw[len(picked):])
             new = complement * _row_basis(snf)
-        picked.extend(new.entries)
+        picked.extend(new.raw)
         levels.extend([level] * new.rows)
     if len(picked) != raw.d:
         return None
     # increasing jump order for the presentation
-    order = list(range(raw.d))[::-1]
-    B = OFMatrix(ctx, [picked[i] for i in order])
-    jumps = tuple(levels[i] for i in order)
+    B = OFMatrix._of(ctx, tuple(picked[::-1]))
+    jumps = tuple(levels[::-1])
     try:
-        phi_new = (B.frobenius_map() if ctx.f > 1 else B) * raw.Phi * B.inverse()
-    except NotAUnit:
-        return None
-    rows = []
-    for r_i, row in zip(jumps, phi_new.entries):
-        try:
-            rows.append([e.divide_exact_p(r_i) for e in row] if r_i else list(row))
-        except PrecisionLoss:
-            return None
-    try:
-        return FilPhiModule(ctx, jumps, OFMatrix(ctx, rows), shift=0)
-    except ValidationError:
+        A = _divide_rows(B.frobenius_map() * raw.Phi * B.inverse(), jumps)
+        return FilPhiModule(ctx, jumps, A, shift=0)
+    except (NotAUnit, PrecisionLoss, ValidationError):
         return None
 
 
@@ -235,14 +224,9 @@ def top_slope_absent(D: FilPhiModule) -> bool:
     p^{r_d} Phi^{-1} = A^{-1} Diag(p^{r_d - r_j}), an integral matrix,
     vanishes mod p."""
     ctx = D.ctx
-    ainv = D.A.inverse()
-    r_d = D.jumps[-1]
-    cols = []
-    for j in range(D.d):
-        scale = OFElement(ctx, pow(ctx.p, r_d - D.jumps[j], ctx.pN))
-        cols.append(scale)
-    W = OFMatrix(ctx, [[ainv.entries[i][j] * cols[j] for j in range(D.d)]
-                       for i in range(D.d)])
+    scales = [pow(ctx.p, D.jumps[-1] - r, ctx.pN) for r in D.jumps]
+    W = OFMatrix._of(ctx, tuple(tuple(map(ctx.scalar_raw, scales, row))
+                                for row in D.A.inverse().raw))
     return semilinear_stable_rank(W) == 0
 
 
@@ -263,10 +247,8 @@ def dual_twist(D: FilPhiModule, k: int) -> FilPhiModule:
     else:
         shift = 0
     new_jumps = [x - shift for x in actual]
-    d = D.d
-    ainv_t = D.A.inverse().transpose()
-    flipped = OFMatrix(ctx, [[ainv_t.entries[d - 1 - i][d - 1 - j] for j in range(d)]
-                             for i in range(d)])
+    ainv_t = D.A.inverse().transpose().raw
+    flipped = OFMatrix._of(ctx, tuple(row[::-1] for row in ainv_t[::-1]))  # J A^{-T} J
     return FilPhiModule(ctx, new_jumps, flipped, shift=shift)
 
 

@@ -30,7 +30,6 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import NotIntegral
-from .padic import vp_int
 
 
 class IwasawaContext:
@@ -172,10 +171,6 @@ class IwasawaElement:
         nonzero = sum(1 for row in self.nums for n in row if n)
         return f"IwasawaElement(p={self.ctx.p}, M_T={self.ctx.M_T}, {nonzero} terms)"
 
-    def max_denominator_vp(self) -> int:
-        """Largest p-power appearing in a denominator (0 for integral)."""
-        return vp_int(self.den, self.ctx.p)
-
     def is_integral(self) -> bool:
         return self.den % self.ctx.p != 0
 
@@ -264,15 +259,6 @@ def eval_at_zero(x: IwasawaElement) -> Fraction:
     """Projection to the component-0 factor followed by T -> 0; a ring
     homomorphism."""
     return Fraction(x.nums[0][0], x.den)
-
-
-def evaluate_component(x: IwasawaElement, i: int, t0: Fraction) -> Fraction:
-    """Finite evaluation of the component-i series at a rational point
-    (used for the character-value checks; the truncation tail is dropped)."""
-    acc = 0
-    for n in reversed(x.nums[i % (x.ctx.p - 1)]):
-        acc = acc * t0 + n
-    return Fraction(acc) / x.den
 
 
 def is_lambda_unit(x: IwasawaElement) -> bool:

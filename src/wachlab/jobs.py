@@ -189,9 +189,10 @@ def _expect_int(parts, i, lineno):
                          line=lineno) from None
 
 
-def validate_job(job: JobDocument):
+def validate_job(job: JobDocument) -> dict[str, FilPhiModule]:
     """Window, shape, and invertibility checks; raises ValidationError.
-    Run again after changing a parsed job's settings."""
+    Returns the modules it built, by name; `run_job` runs it again, so a
+    parsed job's settings may be changed before it is run."""
     if job.N < 1:
         raise ValidationError("precision N must be >= 1")
     if job.M is not None and job.M <= job.p - 1:
@@ -203,7 +204,8 @@ def validate_job(job: JobDocument):
                              ("T-truncation MT", job.M_T, MAX_MT)):
         if value > cap:
             raise ValidationError(f"{name} = {value} exceeds the cap {cap}")
-    for spec in job.modules.values():
+    mods = {}
+    for name, spec in job.modules.items():
         if spec.rank < 1:
             raise ValidationError(f"module {spec.name}: rank must be >= 1")
         if len(spec.jumps) != spec.rank:
@@ -213,7 +215,8 @@ def validate_job(job: JobDocument):
         for row in spec.rows:
             if len(row) != spec.rank:
                 raise ValidationError(f"module {spec.name}: ragged matrix row")
-        build_module(job, spec)  # raises ValidationError on window/determinant
+        mods[name] = build_module(job, spec)  # raises ValidationError on window/determinant
+    return mods
 
 
 def build_module(job: JobDocument, spec: ModuleSpec) -> FilPhiModule:
@@ -235,8 +238,10 @@ def _error_entry(exc: Exception) -> dict:
 
 
 def run_job(job: JobDocument) -> str:
-    """Execute all commands; returns the JSON report text (sorted keys,
-    stable layout, newline-terminated)."""
+    """Validate the job and execute all commands; returns the JSON report
+    text (sorted keys, stable layout, newline-terminated).  Raises
+    ValidationError for a job `validate_job` rejects."""
+    mods = validate_job(job)
     report = {
         "schema": SCHEMA,
         "version": __version__,
@@ -246,10 +251,7 @@ def run_job(job: JobDocument) -> str:
         "results": [],
         "ok": True,
     }
-    mods: dict[str, FilPhiModule] = {}
-    for name, spec in sorted(job.modules.items()):
-        D = build_module(job, spec)
-        mods[name] = D
+    for name, D in sorted(mods.items()):
         h, t_H = hodge_invariants(D)
         report["modules"][name] = {
             "rank": D.d,
@@ -302,8 +304,8 @@ def _run_command(job, cmd, D, cache, mod_name):
             cache["wach", mod_name] = gamma_matrix(D, 1 + job.p, job.order())
         W = cache["wach", mod_name]
         f = D.ctx.f
-        p_matches = all(s.raw()[:f] == list(e.coeffs)
-                        for prow, row in zip(W.P, D.phi_matrix().entries)
+        p_matches = all(s.raw()[:f] == list(e)
+                        for prow, row in zip(W.P, D.phi_matrix().raw)
                         for s, e in zip(prow, row))
         data = {
             "c": W.c,

@@ -2,10 +2,12 @@
 
 Elements of the unramified extension are coefficient vectors over a fixed
 monic modulus, every coordinate reduced mod p^N.  The module also provides
-integer matrices over O_F with Smith normal form over the local ring,
-Newton polygons of characteristic polynomials, the stabilized rank of a
+matrices over O_F with Smith normal form over the local ring, Newton
+polygons of characteristic polynomials, the stabilized rank of a
 semilinear reduction mod p, and a semisimplicity test for exact rational
-matrices.
+matrices.  A matrix holds its entries as raw rows, tuples of those
+coordinate vectors, and every matrix routine reads and returns raw rows;
+`OFMatrix.entries` and M[i, j] are `OFElement` views at the API boundary.
 
 All values are immutable after construction; operations are pure.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 from .errors import NotAUnit, PrecisionLoss
 
@@ -204,6 +207,19 @@ class PrecisionContext:
 
     # -- raw tuple arithmetic ------------------------------------------------
 
+    def coerce_raw(self, x):
+        """Coordinates of an int, an OFElement of this context or an f-vector."""
+        if isinstance(x, int):
+            return (x % self.pN,) + (0,) * (self.f - 1)
+        if isinstance(x, OFElement):
+            if x.ctx != self:
+                raise ValueError("mixed precision contexts")
+            return x.coeffs
+        x = tuple(int(c) % self.pN for c in x)
+        if len(x) != self.f:
+            raise ValueError("coefficient vector has wrong length")
+        return x
+
     def zero_raw(self):
         return (0,) * self.f
 
@@ -238,6 +254,12 @@ class PrecisionContext:
                     r[i - f + j] -= c * m[j]
                 r[i] = 0
         return tuple(x % pN for x in r[:f])
+
+    def dot_raw(self, u, v):
+        """sum_k u_k v_k over two sequences of raw elements."""
+        if self.f == 1:
+            return (sum(x[0] * y[0] for x, y in zip(u, v)) % self.pN,)
+        return reduce(self.add_raw, map(self.mul_raw, u, v), self.zero_raw())
 
     def scalar_raw(self, k: int, a):
         pN = self.pN
@@ -391,48 +413,28 @@ class OFElement:
 
     def __init__(self, ctx: PrecisionContext, coeffs):
         self.ctx = ctx
-        if isinstance(coeffs, int):
-            coeffs = (coeffs % ctx.pN,) + (0,) * (ctx.f - 1)
-        else:
-            coeffs = tuple(int(c) % ctx.pN for c in coeffs)
-            if len(coeffs) != ctx.f:
-                raise ValueError("coefficient vector has wrong length")
-        self.coeffs = coeffs
+        self.coeffs = ctx.coerce_raw(coeffs)
 
-    def _coerce(self, other):
-        if isinstance(other, OFElement):
-            if other.ctx != self.ctx:
-                raise ValueError("mixed precision contexts")
-            return other
-        if isinstance(other, int):
-            return OFElement(self.ctx, other)
-        return NotImplemented
+    def _binop(self, other, op, reflected=False):
+        """op on the coordinates of self and of an int or OFElement."""
+        if not isinstance(other, (int, OFElement)):
+            return NotImplemented
+        o = self.ctx.coerce_raw(other)
+        return OFElement(self.ctx, op(o, self.coeffs) if reflected else op(self.coeffs, o))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return OFElement(self.ctx, self.ctx.add_raw(self.coeffs, o.coeffs))
+        return self._binop(other, self.ctx.add_raw)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return OFElement(self.ctx, self.ctx.sub_raw(self.coeffs, o.coeffs))
+        return self._binop(other, self.ctx.sub_raw)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return OFElement(self.ctx, self.ctx.sub_raw(o.coeffs, self.coeffs))
+        return self._binop(other, self.ctx.sub_raw, reflected=True)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return OFElement(self.ctx, self.ctx.mul_raw(self.coeffs, o.coeffs))
+        return self._binop(other, self.ctx.mul_raw)
 
     __rmul__ = __mul__
 
@@ -506,88 +508,91 @@ def teichmuller(ctx: PrecisionContext, u: int) -> OFElement:
 # ---------------------------------------------------------------------------
 
 class OFMatrix:
-    """Immutable matrix over O_F at fixed precision."""
+    """Immutable matrix over O_F at fixed precision.
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    `raw` holds the entries as a tuple of rows, each a tuple of coordinate
+    tuples (the values the context's `*_raw` methods work on); `entries`
+    and M[i, j] are OFElement views, built on each access."""
+
+    __slots__ = ("ctx", "rows", "cols", "raw")
 
     def __init__(self, ctx: PrecisionContext, entries):
-        self.ctx = ctx
-        rows = []
-        for row in entries:
-            r = tuple(e if isinstance(e, OFElement) else OFElement(ctx, e) for e in row)
-            for e in r:
-                if e.ctx != ctx:
-                    raise ValueError("mixed precision contexts in matrix")
-            rows.append(r)
-        self.entries = tuple(rows)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(r) != self.cols for r in self.entries):
+        """entries: rows of ints, OFElements of ctx or coordinate vectors."""
+        raw = tuple(tuple(map(ctx.coerce_raw, row)) for row in entries)
+        if len({len(r) for r in raw}) > 1:
             raise ValueError("ragged matrix")
+        self.ctx, self.raw, self.rows, self.cols = ctx, raw, len(raw), len(raw[0]) if raw else 0
+
+    @classmethod
+    def _of(cls, ctx, raw):
+        """The matrix with raw rows `raw`, neither copied nor checked."""
+        M = cls.__new__(cls)
+        M.ctx, M.raw, M.rows, M.cols = ctx, raw, len(raw), len(raw[0]) if raw else 0
+        return M
 
     @classmethod
     def identity(cls, ctx, n):
-        return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        one, zero = ctx.one_raw(), ctx.zero_raw()
+        return cls._of(ctx, tuple(tuple(one if i == j else zero for j in range(n))
+                                  for i in range(n)))
 
     @classmethod
     def zero(cls, ctx, rows, cols):
-        return cls(ctx, [[0] * cols for _ in range(rows)])
+        return cls._of(ctx, ((ctx.zero_raw(),) * cols,) * rows)
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as rows of OFElements."""
+        ctx = self.ctx
+        return tuple(tuple(OFElement(ctx, e) for e in row) for row in self.raw)
 
     def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+        return OFElement(self.ctx, self.raw[ij[0]][ij[1]])
 
     def __eq__(self, other):
         return (isinstance(other, OFMatrix) and self.ctx == other.ctx
-                and self.entries == other.entries)
+                and self.raw == other.raw)
 
     def __hash__(self):
-        return hash((self.ctx, self.entries))
+        return hash((self.ctx, self.raw))
 
     def __repr__(self):
-        body = "; ".join(" ".join(repr(e.coeffs[0] if self.ctx.f == 1 else list(e.coeffs))
-                                   for e in row) for row in self.entries)
+        body = "; ".join(" ".join(repr(e[0] if self.ctx.f == 1 else list(e)) for e in row)
+                         for row in self.raw)
         return f"OFMatrix[{self.rows}x{self.cols}]({body})"
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return OFMatrix(self.ctx, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)])
+        if other.ctx != self.ctx:
+            raise ValueError("mixed precision contexts")
+        return OFMatrix._of(self.ctx, tuple(tuple(map(op, r1, r2))
+                                            for r1, r2 in zip(self.raw, other.raw)))
+
+    def __add__(self, other):
+        return self._entrywise(other, self.ctx.add_raw)
 
     def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return OFMatrix(self.ctx, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)])
+        return self._entrywise(other, self.ctx.sub_raw)
 
     def __mul__(self, other):
+        ctx = self.ctx
         if isinstance(other, (int, OFElement)):
-            return OFMatrix(self.ctx, [[e * other for e in row] for row in self.entries])
-        if other.ctx != self.ctx:
+            s, mul = ctx.coerce_raw(other), ctx.mul_raw
+            return OFMatrix._of(ctx, tuple(tuple(mul(e, s) for e in row) for row in self.raw))
+        if other.ctx != ctx:
             raise ValueError("mixed precision contexts")
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ctx = self.ctx
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ctx.zero_raw()
-                for k in range(self.cols):
-                    acc = ctx.add_raw(acc, ctx.mul_raw(self.entries[i][k].coeffs,
-                                                       other.entries[k][j].coeffs))
-                row.append(OFElement(ctx, acc))
-            out.append(row)
-        return OFMatrix(ctx, out)
+        cols, dot = other.transpose().raw, ctx.dot_raw
+        return OFMatrix._of(ctx, tuple(tuple(dot(row, col) for col in cols)
+                                       for row in self.raw))
 
     __rmul__ = __mul__
 
     def transpose(self):
-        return OFMatrix(self.ctx, [[self.entries[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)])
-
-    def map(self, fn):
-        return OFMatrix(self.ctx, [[fn(e) for e in row] for row in self.entries])
+        return OFMatrix._of(self.ctx, tuple(zip(*self.raw)) if self.rows
+                            else ((),) * self.cols)
 
     def det(self) -> OFElement:
         """Exact determinant mod p^N: the signed product of the diagonal
@@ -596,11 +601,9 @@ class OFMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         ctx = self.ctx
-        a = [[e.coeffs for e in row] for row in self.entries]
+        a = [list(row) for row in self.raw]
         _, sign = _smith_raw(ctx, a)
-        acc = ctx.one_raw()
-        for k in range(self.rows):
-            acc = ctx.mul_raw(acc, a[k][k])
+        acc = reduce(ctx.mul_raw, (a[k][k] for k in range(self.rows)), ctx.one_raw())
         return OFElement(ctx, acc if sign > 0 else ctx.neg_raw(acc))
 
     def inverse(self) -> "OFMatrix":
@@ -609,15 +612,10 @@ class OFMatrix:
             raise ValueError("inverse of non-square matrix")
         ctx = self.ctx
         n = self.rows
-        a = [[e.coeffs for e in row] for row in self.entries]
-        b = [[ctx.one_raw() if i == j else ctx.zero_raw() for j in range(n)]
-             for i in range(n)]
+        a = [list(row) for row in self.raw]
+        b = [list(row) for row in OFMatrix.identity(ctx, n).raw]
         for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if ctx.val_raw(a[i][k]) == 0:
-                    piv = i
-                    break
+            piv = next((i for i in range(k, n) if ctx.val_raw(a[i][k]) == 0), None)
             if piv is None:
                 raise NotAUnit("matrix is not invertible over O_F")
             if piv != k:
@@ -631,10 +629,14 @@ class OFMatrix:
                     q = a[i][k]
                     a[i] = [ctx.sub_raw(e, ctx.mul_raw(q, f)) for e, f in zip(a[i], a[k])]
                     b[i] = [ctx.sub_raw(e, ctx.mul_raw(q, f)) for e, f in zip(b[i], b[k])]
-        return OFMatrix(ctx, [[OFElement(ctx, e) for e in row] for row in b])
+        return OFMatrix._of(ctx, tuple(map(tuple, b)))
 
     def frobenius_map(self) -> "OFMatrix":
-        return self.map(frobenius)
+        """sigma applied to each entry; the matrix itself when f = 1."""
+        ctx = self.ctx
+        if ctx.f == 1:
+            return self
+        return OFMatrix._of(ctx, tuple(tuple(map(ctx.frob_raw, row)) for row in self.raw))
 
 
 def _find_pivot(ctx, a, k, nrows, ncols):
@@ -732,21 +734,21 @@ def smith_normal_form(M: OFMatrix) -> SmithNormalForm:
     """
     ctx = M.ctx
     nr, nc = M.rows, M.cols
-    a = [[e.coeffs for e in row] for row in M.entries]
-    U = [[ctx.one_raw() if i == j else ctx.zero_raw() for j in range(nr)] for i in range(nr)]
-    V = [[ctx.one_raw() if i == j else ctx.zero_raw() for j in range(nc)] for i in range(nc)]
+    a = [list(row) for row in M.raw]
+    U, V = ([list(row) for row in OFMatrix.identity(ctx, n).raw] for n in (nr, nc))
     exps, _ = _smith_raw(ctx, a, U, V)
-    D = [[a[i][i] if i == j else ctx.zero_raw() for j in range(nc)] for i in range(nr)]
-    wrap = lambda m: OFMatrix(ctx, [[OFElement(ctx, e) for e in row] for row in m])
-    return SmithNormalForm(wrap(U), wrap(D), wrap(V), tuple(exps))
+    zero = ctx.zero_raw()
+    D = [[a[i][i] if i == j else zero for j in range(nc)] for i in range(nr)]
+    return SmithNormalForm(*(OFMatrix._of(ctx, tuple(map(tuple, m))) for m in (U, D, V)),
+                           tuple(exps))
 
 
 def _row_basis(snf: SmithNormalForm) -> OFMatrix:
     """A basis of the row lattice of M = U^{-1} D V^{-1}: the rows
     d_i * (V^{-1} row i) for i < rank."""
-    vinv = snf.V.inverse()
-    return OFMatrix(snf.V.ctx, [[snf.D.entries[i][i] * x for x in vinv.entries[i]]
-                                for i in range(snf.rank)])
+    ctx, D, vinv = snf.V.ctx, snf.D.raw, snf.V.inverse().raw
+    return OFMatrix._of(ctx, tuple(tuple(ctx.mul_raw(D[i][i], x) for x in vinv[i])
+                                   for i in range(snf.rank)))
 
 
 def _coordinates(snf: SmithNormalForm, X: OFMatrix) -> OFMatrix | None:
@@ -757,18 +759,30 @@ def _coordinates(snf: SmithNormalForm, X: OFMatrix) -> OFMatrix | None:
     columns of X V past the rank 0, so C comes off X V and the divisors.
     Where d_i = p^e u, column i is only determined mod p^{N-e}; its
     representative is the exact quotient by p^e."""
-    r = snf.rank
-    divisors = [(e, snf.D.entries[i][i].divide_exact_p(e).unit_inverse())
+    ctx, r = X.ctx, snf.rank
+    divisors = [(e, ctx.inv_raw(ctx.shift_raw(snf.D.raw[i][i], e)))
                 for i, e in enumerate(snf.exponents[:r])]
     rows = []
-    for row in (X * snf.V).entries:
-        if any(not x.is_zero() for x in row[r:]):
+    for row in (X * snf.V).raw:
+        if any(any(x) for x in row[r:]):
             return None
         try:
-            rows.append([x.divide_exact_p(e) * u for x, (e, u) in zip(row, divisors)])
-        except PrecisionLoss:
+            rows.append(tuple(ctx.mul_raw(ctx.shift_raw(x, e), u)
+                              for x, (e, u) in zip(row, divisors)))
+        except _InexactShift:
             return None
-    return OFMatrix(X.ctx, rows)
+    return OFMatrix._of(ctx, tuple(rows))
+
+
+def _divide_rows(M: OFMatrix, ks) -> OFMatrix:
+    """M with row i divided exactly by p^{ks[i]} (re-embedded at precision
+    N); raises PrecisionLoss when a representative is not divisible."""
+    shift = M.ctx.shift_raw
+    try:
+        return OFMatrix._of(M.ctx, tuple(tuple(shift(e, k) for e in row)
+                                         for row, k in zip(M.raw, ks)))
+    except _InexactShift:
+        raise PrecisionLoss("row not divisible by its power of p") from None
 
 
 # ---------------------------------------------------------------------------
@@ -787,14 +801,7 @@ def charpoly(M: OFMatrix) -> list[OFElement]:
     if M.rows != M.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
     ctx = M.ctx
-    a = [[e.coeffs for e in row] for row in M.entries]
-
-    def dot(u, v):
-        acc = ctx.zero_raw()
-        for x, y in zip(u, v):
-            acc = ctx.add_raw(acc, ctx.mul_raw(x, y))
-        return acc
-
+    a, dot = M.raw, ctx.dot_raw
     poly = [ctx.one_raw()]  # of the leading r x r block, highest degree first
     for r in range(M.rows):
         row, col = a[r][:r], [a[i][r] for i in range(r)]
@@ -875,14 +882,12 @@ def semilinear_stable_rank(M: OFMatrix) -> int:
     tend to 0, i.e. the operator has no slope-0 part.
     """
     rctx = M.ctx.residue()
-    B = OFMatrix(rctx, [[tuple(c % rctx.p for c in e.coeffs) for e in row]
-                        for row in M.entries])
-    steps = M.rows * rctx.f
+    B = OFMatrix(rctx, M.raw)  # each coordinate reduced mod p
     acc = B
-    for _ in range(steps - 1):
+    for _ in range(M.rows * rctx.f - 1):
         # matrix of the next iterate of x -> sigma(x) B (images in rows)
         acc = acc.frobenius_map() * B
-    exps, _ = _smith_raw(rctx, [[e.coeffs for e in row] for row in acc.entries])
+    exps, _ = _smith_raw(rctx, [list(row) for row in acc.raw])
     return sum(e is not None for e in exps)
 
 

@@ -71,7 +71,7 @@ from .aplus import (
     shift_pi,
 )
 from .filmod import FilPhiModule
-from .padic import OFElement, OFMatrix
+from .padic import OFMatrix
 
 
 def default_order(ctx) -> int:
@@ -85,7 +85,7 @@ def default_order(ctx) -> int:
 # ---------------------------------------------------------------------------
 
 def _scalars(ker, M: OFMatrix):
-    return [[ker.scalar(e.coeffs) for e in row] for row in M.entries]
+    return [[ker.scalar(e) for e in row] for row in M.raw]
 
 def _raw(mat):
     return [[s.raw() for s in row] for row in mat]
@@ -251,11 +251,11 @@ def compute_Q(D: FilPhiModule, c: int, order: int | None = None):
     mh = order - (p - 1)
     ker = series_kernel(ctx, mh)
     cols = [ker.pack(exact_div_pi(ing.power("tau", r) - 1, p - 1).raw()) for r in rs]
-    a, b, zero = D.A.inverse().entries, D.A.entries, OFElement(ctx, 0)
+    a, b = D.A.inverse().raw, D.A.raw
+    ks = [[k for k in range(d) if jumps[k] == r] for r in rs]
     return _series(ctx, mh, [[ker.unpack(ker.dot(
-        [ker.scalar(sum((a[i][k] * b[k][j] for k in range(d) if jumps[k] == r),
-                        zero).coeffs) for r in rs], cols))
-        for j in range(d)] for i in range(d)])
+        [ker.scalar(ctx.dot_raw([a[i][k] for k in kr], [b[k][j] for k in kr])) for kr in ks],
+        cols)) for j in range(d)] for i in range(d)])
 
 
 def solve_H(D: FilPhiModule, c: int, order: int | None = None,
@@ -288,8 +288,8 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
                             ("qmu", jumps[l]), mh)
          for k in range(d) for l in range(d)]
     # L_ij = sum_{k,l} (A^{-1})_ik A_lj X_kl, X = W o phi(H), flattened over (k, l)
-    a, b = D.A.inverse().entries, D.A.entries
-    mix = [[[ker.scalar((a[i][k] * b[l][j]).coeffs) for k in range(d) for l in range(d)]
+    a, b = D.A.inverse().raw, D.A.raw
+    mix = [[[ker.scalar(ctx.mul_raw(a[i][k], b[l][j])) for k in range(d) for l in range(d)]
             for j in range(d)] for i in range(d)]
     Qp = _pack(ker, Q)
     if initial is None:
@@ -446,18 +446,3 @@ def apply_Ti(W: WachData, i: int):
         X = [[ker.normalize(x + neg * y) for x, y in zip(xrow, yrow)]
              for xrow, yrow in zip(X, ker.mat_mul(gX, G, d))]
     return _series(ctx, order, [[ker.unpack(x) for x in row] for row in X])
-
-
-def ti_scalar(ctx, c: int, i: int):
-    """The mod-pi scalar prod_{k=1}^{i-1} (1 - c^{-k}) and its valuation.
-
-    For the pro-cyclic generator c = 1 + p the factor 1 - c^{-1} has
-    valuation 1, so the scalar need not be a unit; it is reported, not
-    asserted."""
-    cinv = OFElement(ctx, c).unit_inverse()
-    acc = OFElement(ctx, 1)
-    power = OFElement(ctx, 1)
-    for _ in range(1, i):
-        power = power * cinv
-        acc = acc * (OFElement(ctx, 1) - power)
-    return acc, acc.valuation()

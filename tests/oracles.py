@@ -22,6 +22,11 @@ solvers are the earlier ones that `padic._row_basis` and
 `padic._coordinates` replaced: coordinates in a row basis by a second Smith
 reduction of that basis and a product with its U, the ladder's kernel
 index in the column convention, and each ladder map reduced once per use.
+`OFMatrix` holds raw coordinate rows; the object-level matrix arithmetic it
+replaced (one `OFElement` per entry, combined through the `OFElement`
+operators) is kept as `add_ref`, `mul_ref`, `inverse_ref`,
+`coordinates_ref` and their kin.  `ti_scalar`, `evaluate_component` and
+`max_denominator_vp` are test helpers that no library code calls.
 """
 
 import itertools
@@ -38,7 +43,14 @@ from wachlab.errors import (
     ValidationError,
 )
 from wachlab.filmod import FilPhiModule
-from wachlab.padic import OFElement, OFMatrix, frobenius, smith_normal_form, vp_fraction
+from wachlab.padic import (
+    OFElement,
+    OFMatrix,
+    frobenius,
+    smith_normal_form,
+    vp_fraction,
+    vp_int,
+)
 from wachlab.wach import _ingredients
 
 
@@ -255,6 +267,7 @@ def charpoly_ref(M):
     permutations: O(d! d) ring operations."""
     ctx = M.ctx
     n = M.rows
+    m = M.entries
     coeffs = [ctx.zero_raw() for _ in range(n + 1)]
     for perm in itertools.permutations(range(n)):
         sign = _perm_sign(perm)
@@ -262,14 +275,14 @@ def charpoly_ref(M):
         poly = [ctx.one_raw()]
         for i, j in enumerate(perm):
             if i == j:
-                mii = ctx.neg_raw(M.entries[i][i].coeffs)
+                mii = ctx.neg_raw(m[i][i].coeffs)
                 new = [ctx.zero_raw() for _ in range(len(poly) + 1)]
                 for k, c in enumerate(poly):
                     new[k] = ctx.add_raw(new[k], ctx.mul_raw(c, mii))
                     new[k + 1] = ctx.add_raw(new[k + 1], c)
                 poly = new
             else:
-                e = ctx.neg_raw(M.entries[i][j].coeffs)
+                e = ctx.neg_raw(m[i][j].coeffs)
                 poly = [ctx.mul_raw(c, e) for c in poly]
         for k, c in enumerate(poly):
             coeffs[k] = (ctx.add_raw if sign > 0 else ctx.sub_raw)(coeffs[k], c)
@@ -396,8 +409,89 @@ def stable_rank_ref(M):
                         for row in M.entries])
     acc = B
     for _ in range(M.rows * rctx.f - 1):
-        acc = acc.frobenius_map() * B
+        acc = mul_ref(frobenius_map_ref(acc), B)
     return residue_rank_ref(acc)
+
+
+# ---------------------------------------------------------------------------
+# object-level matrix arithmetic: OFMatrix as it was when it held one
+# OFElement per entry, every entry combined through the OFElement operators
+# ---------------------------------------------------------------------------
+
+def add_ref(A, B):
+    return OFMatrix(A.ctx, [[a + b for a, b in zip(r, s)]
+                            for r, s in zip(A.entries, B.entries)])
+
+
+def sub_ref(A, B):
+    return OFMatrix(A.ctx, [[a - b for a, b in zip(r, s)]
+                            for r, s in zip(A.entries, B.entries)])
+
+
+def mul_ref(A, B):
+    """A * B for a matrix B, or each entry of A times a scalar B."""
+    if isinstance(B, (int, OFElement)):
+        return OFMatrix(A.ctx, [[e * B for e in row] for row in A.entries])
+    a, b, zero = A.entries, B.entries, OFElement(A.ctx, 0)
+    return OFMatrix(A.ctx, [[sum((a[i][k] * b[k][j] for k in range(A.cols)), zero)
+                             for j in range(B.cols)] for i in range(A.rows)])
+
+
+def transpose_ref(M):
+    e = M.entries
+    return OFMatrix(M.ctx, [[e[i][j] for i in range(M.rows)] for j in range(M.cols)])
+
+
+def frobenius_map_ref(M):
+    return OFMatrix(M.ctx, [[frobenius(e) for e in row] for row in M.entries])
+
+
+def inverse_ref(M):
+    """Gauss-Jordan on OFElements, pivoting on the first unit of each column."""
+    ctx, n = M.ctx, M.rows
+    a = [list(row) for row in M.entries]
+    b = [[OFElement(ctx, int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k].is_unit()), None)
+        if piv is None:
+            raise NotAUnit("matrix is not invertible over O_F")
+        a[k], a[piv], b[k], b[piv] = a[piv], a[k], b[piv], b[k]
+        inv = a[k][k].unit_inverse()
+        a[k], b[k] = [inv * e for e in a[k]], [inv * e for e in b[k]]
+        for i in range(n):
+            if i != k and not a[i][k].is_zero():
+                q = a[i][k]
+                a[i] = [e - q * g for e, g in zip(a[i], a[k])]
+                b[i] = [e - q * g for e, g in zip(b[i], b[k])]
+    return OFMatrix(ctx, b)
+
+
+def row_basis_obj_ref(snf):
+    """padic._row_basis in object arithmetic: d_i (V^{-1} row i), i < rank."""
+    vinv, D = inverse_ref(snf.V).entries, snf.D.entries
+    return OFMatrix(snf.V.ctx, [[D[i][i] * x for x in vinv[i]] for i in range(snf.rank)])
+
+
+def coordinates_ref(snf, X):
+    """padic._coordinates in object arithmetic: C off X V and the divisors."""
+    r, D = snf.rank, snf.D.entries
+    divisors = [(e, D[i][i].divide_exact_p(e).unit_inverse())
+                for i, e in enumerate(snf.exponents[:r])]
+    rows = []
+    for row in mul_ref(X, snf.V).entries:
+        if any(not x.is_zero() for x in row[r:]):
+            return None
+        try:
+            rows.append([x.divide_exact_p(e) * u for x, (e, u) in zip(row, divisors)])
+        except PrecisionLoss:
+            return None
+    return OFMatrix(X.ctx, rows)
+
+
+def divide_rows_ref(M, ks):
+    """Row i of M divided by p^{ks[i]}, entry by entry."""
+    return OFMatrix(M.ctx, [[e.divide_exact_p(k) for e in row]
+                            for row, k in zip(M.entries, ks)])
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +825,21 @@ def ti_oracle(D, G, c, i, order, ring=REFERENCE):
     return X
 
 
+def ti_scalar(ctx, c: int, i: int):
+    """The mod-pi scalar prod_{k=1}^{i-1} (1 - c^{-k}) of T_i and its
+    valuation, in OFElement arithmetic.
+
+    For the pro-cyclic generator c = 1 + p the factor 1 - c^{-1} has
+    valuation 1, so the scalar need not be a unit."""
+    cinv = OFElement(ctx, c).unit_inverse()
+    acc = OFElement(ctx, 1)
+    power = OFElement(ctx, 1)
+    for _ in range(1, i):
+        power = power * cinv
+        acc = acc * (OFElement(ctx, 1) - power)
+    return acc, acc.valuation()
+
+
 # ---------------------------------------------------------------------------
 # Iwasawa layer: the Fraction-coefficient element and affine substitution
 # ---------------------------------------------------------------------------
@@ -845,6 +954,21 @@ def evaluate_component_ref(x, i, t0):
     return acc
 
 
+def evaluate_component(x, i, t0):
+    """Finite evaluation of the library element's component-i series at a
+    rational point (the truncation tail is dropped), on its numerators."""
+    acc = 0
+    for n in reversed(x.nums[i % (x.ctx.p - 1)]):
+        acc = acc * t0 + n
+    return Fraction(acc) / x.den
+
+
+def max_denominator_vp(x):
+    """Largest p-power in a denominator of the library element (0 for
+    integral): v_p of its common denominator."""
+    return vp_int(x.den, x.ctx.p)
+
+
 def is_lambda_unit_ref(x):
     if not x.is_integral():
         raise NotIntegral("element has p-power denominators")
@@ -909,7 +1033,12 @@ def lattice_contains_all_ref(G, X):
 
 
 def decreasing_ref(fil_gens):
-    """The decreasing-flag verdict of the RawFilPhiModule constructor."""
+    """The flag verdict of the RawFilPhiModule constructor: Fil^0 is the
+    full lattice (d unit divisors in the reference Smith form) and the
+    sublattices decrease."""
+    fil0 = fil_gens[0]
+    if fil0 is None or smith_normal_form_ref(fil0)[3] != (0,) * fil0.cols:
+        return False
     for lower, higher in zip(fil_gens, fil_gens[1:]):
         if higher is not None and (lower is None
                                    or not lattice_contains_all_ref(lower, higher)):

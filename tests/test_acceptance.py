@@ -269,7 +269,7 @@ def test_criterion_7_oracle_equivalence():
         raw = D.to_raw()
         if rng2.random() < 0.3:
             # corrupt Phi by a p-scaling to exercise the False branch
-            scaled = raw.Phi.map(lambda e: e * 3)
+            scaled = raw.Phi * 3
             from wachlab.filmod import RawFilPhiModule
             raw = RawFilPhiModule(ctx3, scaled, raw.fil_gens)
         got, _ = strong_divisibility_check(raw)

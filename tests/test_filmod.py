@@ -50,7 +50,7 @@ def random_raw_inputs(ctx, rng):
     raw = rand_module(ctx, d, rng).to_raw()
     B = unimodular(ctx, d, rng)
     Binv = B.inverse()
-    Phi = (B.frobenius_map() if ctx.f > 1 else B) * raw.Phi * Binv
+    Phi = B.frobenius_map() * raw.Phi * Binv
     gens = []
     for g in raw.fil_gens:
         k = g.rows
@@ -94,6 +94,22 @@ class TestValidation:
     def test_rejects_singular(self):
         with pytest.raises(ValidationError):
             module(3, 6, [0, 1], [[3, 1], [3, 1]])
+
+    def test_fil0_must_be_full_lattice(self):
+        # Fil^0 = 3M at (3, 8) passes the lattice sum (phi(3M) + p^{-1} phi(3M)
+        # = M), so only the constructor can reject it; so is a rank drop
+        ctx = PrecisionContext(3, 8)
+        for Phi, gens in (([[1]], [[[3]], [[3]]]), ([[1, 0], [0, 1]], [[[1, 0]]])):
+            with pytest.raises(ValidationError, match="Fil\\^0 must be the full lattice"):
+                RawFilPhiModule(ctx, OFMatrix(ctx, Phi), gens)
+        # any unimodular basis of M is accepted
+        rng = random.Random(26)
+        for p in (3, 5):
+            ctx = PrecisionContext(p, 8)
+            for d in (1, 2, 3):
+                U = unimodular(ctx, d, rng)
+                raw = RawFilPhiModule(ctx, OFMatrix.identity(ctx, d), [U])
+                assert raw.fil_gens == (U,)
 
     def test_phi_matrix_rows_scaled(self):
         D = module(3, 6, [0, 1], [[0, 1], [1, 0]])
@@ -168,8 +184,7 @@ class TestStrongDivisibility:
             raw = D.to_raw()
             if rng.random() < 0.5:
                 # corrupt: scale Phi by p to break divisibility balance
-                raw = RawFilPhiModule(ctx, raw.Phi * OFMatrix.identity(ctx, d).map(
-                    lambda e: e * 3), raw.fil_gens)
+                raw = RawFilPhiModule(ctx, raw.Phi * 3, raw.fil_gens)
             ok, _ = strong_divisibility_check(raw)
             cols = []
             divisible = True

@@ -12,6 +12,7 @@ import pytest
 import wachlab.cep
 import wachlab.cli
 import wachlab.jobs
+import wachlab.padic
 from wachlab import ParseError, ValidationError
 from wachlab.cep import cep_check, tam_exponent
 from wachlab.cli import _run_one, _usable_cpus, _worker_count, main
@@ -274,6 +275,12 @@ command tam triv
             else:
                 assert want.items() <= entry["data"].items()
 
+    def test_run_job_validates_its_job(self):
+        job = parse_job(MINIMAL)
+        job.N = 201
+        with pytest.raises(ValidationError, match="precision N = 201 exceeds the cap 200"):
+            run_job(job)
+
     def test_byte_determinism(self):
         job1 = parse_job(RANK2)
         job2 = parse_job(RANK2)
@@ -286,6 +293,42 @@ command tam triv
         mats = wach["data"]["matrices"]
         assert set(mats) == {"P", "Q", "H", "G"}
         assert len(mats["P"]) == 2 and len(mats["P"][0][0]) > 0
+
+
+RANK3 = """
+p 5
+N 20
+
+module m
+rank 3
+jumps 2 2 3
+row 82944503693329 2992200723162 51956061778382
+row 88378620611763 42028214837045 84647760975887
+row 24968019390229 26072014661944 37175500121789
+endmodule
+
+command check m
+command slopes m
+command tam m
+command cep m
+"""
+
+
+def test_element_constructions(monkeypatch):
+    # matrices are raw rows: run_job builds an OFElement only for each
+    # determinant (9 here) and each characteristic-polynomial coefficient (4)
+    calls = []
+    init = wachlab.padic.OFElement.__init__
+
+    def counted(self, ctx, coeffs):
+        calls.append(coeffs)
+        init(self, ctx, coeffs)
+
+    job = parse_job(RANK3)
+    monkeypatch.setattr(wachlab.padic.OFElement, "__init__", counted)
+    report = json.loads(run_job(job))
+    assert report["ok"] and len(report["results"]) == 4
+    assert len(calls) <= 20
 
 
 class TestFuzz:
@@ -467,6 +510,17 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert "error" in out
+
+    def test_bad_override_report_pinned(self, tmp_path, capsys):
+        # the override is rejected inside run_job; the report is the one the
+        # parse-time check wrote
+        f = tmp_path / "job.wach"
+        f.write_text(RANK2)
+        assert main(["run", str(f), "--M", "2"]) == 1
+        assert capsys.readouterr().out == (
+            '{"error":{"reason":"pi-truncation M must exceed p-1",'
+            '"type":"ValidationError"},"input":"' + str(f) + '","ok":false,'
+            '"schema":"wachlab-report/1"}\n')
 
     def test_thread_count_determinism(self, tmp_path):
         files = []

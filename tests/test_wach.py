@@ -17,6 +17,7 @@ from oracles import (
     _smat_sub,
     _smat_valuation,
     ti_oracle,
+    ti_scalar,
 )
 from wachlab import NonConvergence, OFElement, OFMatrix, PrecisionContext
 from wachlab import _kernel
@@ -45,7 +46,6 @@ from wachlab.wach import (
     gamma_matrix,
     relation_valuation,
     solve_H,
-    ti_scalar,
 )
 
 
