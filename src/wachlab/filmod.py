@@ -11,7 +11,8 @@ jump positions are r_i + shift.
 
 Raw presentations (any basis, explicit filtration sublattices) can be
 tested for strong divisibility and converted to adapted form.  Each
-filtration lattice is Smith-reduced once: its row basis and the coordinates
+filtration lattice is Smith-reduced once, when the raw module is built
+(`RawFilPhiModule.fil_snfs`): its row basis and the coordinates
 of other rows in it come off that one reduction, the coordinates from X V
 and the divisors (`padic._row_basis`, `padic._coordinates`).  Matrices are
 built and read as raw rows (`OFMatrix.raw`), never entry by entry.
@@ -100,10 +101,11 @@ class RawFilPhiModule:
     fil_gens[i] is a matrix whose rows generate Fil^i (None for the zero
     lattice); levels beyond the list are zero.  Level 0 must generate the
     full lattice (its Smith form has rank d and unit divisors, so it holds
-    every higher level) and the sublattices must decrease.
+    every higher level) and the sublattices must decrease.  fil_snfs[i] is
+    the Smith form of fil_gens[i] (None with it), reduced once here.
     """
 
-    __slots__ = ("ctx", "d", "Phi", "fil_gens")
+    __slots__ = ("ctx", "d", "Phi", "fil_gens", "fil_snfs")
 
     def __init__(self, ctx: PrecisionContext, Phi: OFMatrix, fil_gens):
         if Phi.rows != Phi.cols:
@@ -126,13 +128,14 @@ class RawFilPhiModule:
                     raise ValidationError("filtration generator width mismatch")
                 gens.append(g)
         self.fil_gens = tuple(gens)
-        fil0 = smith_normal_form(gens[0]) if gens and gens[0] is not None else None
+        self.fil_snfs = tuple(None if g is None else smith_normal_form(g) for g in gens)
+        fil0 = self.fil_snfs[0] if gens else None
         if fil0 is None or fil0.rank != self.d or any(fil0.exponents):
             raise ValidationError("Fil^0 must be the full lattice")
-        for lower, higher in zip(self.fil_gens[1:], self.fil_gens[2:]):
+        for lower, higher in zip(self.fil_snfs[1:], self.fil_gens[2:]):
             if higher is None:
                 continue
-            if lower is None or _coordinates(smith_normal_form(lower), higher) is None:
+            if lower is None or _coordinates(lower, higher) is None:
                 raise ValidationError("filtration sublattices must decrease")
 
 
@@ -172,18 +175,14 @@ def strong_divisibility_check(raw: RawFilPhiModule):
 def _extract_adapted(raw: RawFilPhiModule):
     """Adapted basis (jumps, A) from split filtration flags, top level down.
 
-    Each level is Smith-reduced once: its row basis and the coordinates of
-    the rows picked so far both come off that reduction."""
+    Each level's row basis and the coordinates of the rows picked so far
+    both come off the Smith form the module holds for it."""
     ctx = raw.ctx
-    top = len(raw.fil_gens) - 1
     picked: list = []   # rows, deepest level first
     levels: list = []
-    for level in range(top, -1, -1):
-        gens = raw.fil_gens[level]
-        if gens is None:
-            continue
-        snf = smith_normal_form(gens)
-        if not snf.rank:
+    for level in range(len(raw.fil_snfs) - 1, -1, -1):
+        snf = raw.fil_snfs[level]
+        if snf is None or not snf.rank:
             continue
         if not picked:
             new = _row_basis(snf)

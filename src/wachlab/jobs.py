@@ -30,7 +30,7 @@ from .filmod import (
     unit_root_rank,
 )
 from .cep import cep_check, tam_exponent
-from .wach import check_q_cokernel, default_order, gamma_matrix
+from .wach import check_q_cokernel, gamma_matrix
 from . import iwasawa as iw
 
 SCHEMA = "wachlab-report/1"
@@ -73,6 +73,8 @@ class JobDocument:
     emit_matrices: bool = False
     modules: dict = field(default_factory=dict)
     commands: list = field(default_factory=list)
+    # (every setting `validate_job` read, the modules it built)
+    _validated: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def order(self) -> int:
         return self.M if self.M else 2 * (self.p - 1) * self.N
@@ -191,8 +193,15 @@ def _expect_int(parts, i, lineno):
 
 def validate_job(job: JobDocument) -> dict[str, FilPhiModule]:
     """Window, shape, and invertibility checks; raises ValidationError.
-    Returns the modules it built, by name; `run_job` runs it again, so a
-    parsed job's settings may be changed before it is run."""
+    Returns the modules it built, by name, and records them on the job with
+    the settings it read.  A later call on the same settings returns the
+    recorded modules; a job whose settings were changed after parsing (or
+    after an earlier call) is validated and built again."""
+    snapshot = (job.p, job.f, job.N, job.M, job.M_T,
+                tuple((name, spec.rank, tuple(spec.jumps), tuple(map(tuple, spec.rows)),
+                       spec.shift) for name, spec in job.modules.items()))
+    if job._validated is not None and job._validated[0] == snapshot:
+        return job._validated[1]
     if job.N < 1:
         raise ValidationError("precision N must be >= 1")
     if job.M is not None and job.M <= job.p - 1:
@@ -216,6 +225,7 @@ def validate_job(job: JobDocument) -> dict[str, FilPhiModule]:
             if len(row) != spec.rank:
                 raise ValidationError(f"module {spec.name}: ragged matrix row")
         mods[name] = build_module(job, spec)  # raises ValidationError on window/determinant
+    job._validated = snapshot, mods
     return mods
 
 

@@ -1,7 +1,13 @@
 """Exact arithmetic in O_F = W(F_{p^f}) at finite precision.
 
 Elements of the unramified extension are coefficient vectors over a fixed
-monic modulus, every coordinate reduced mod p^N.  The module also provides
+monic modulus, every coordinate reduced mod p^N.  The residue field
+F_{p^f} = F_p[x]/(modulus) runs on the context's own raw arithmetic at
+precision 1: the irreducibility test of the modulus (Rabin's criterion) and
+the residue inverse that Hensel lifting starts from.  The default modulus is
+the lexicographically first monic irreducible of degree f (coefficients
+read from the constant term up), whose constant term is necessarily nonzero
+for f > 1.  The module also provides
 matrices over O_F with Smith normal form over the local ring, Newton
 polygons of characteristic polynomials, the stabilized rank of a
 semilinear reduction mod p, and a semisimplicity test for exact rational
@@ -62,91 +68,36 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over F_p (for the residue field of a degree-f extension)
-# ---------------------------------------------------------------------------
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod_fp(a, b, m, p):
-    """(a*b) mod m over F_p, m monic."""
-    r = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                r[i + j] = (r[i + j] + ai * bj) % p
-    f = len(m) - 1
-    for i in range(len(r) - 1, f - 1, -1):
-        c = r[i]
-        if c:
-            for j in range(f):
-                r[i - f + j] = (r[i - f + j] - c * m[j]) % p
-            r[i] = 0
-    return _poly_trim(r[:f] if len(r) > f else r)
-
-
-def _poly_powmod_fp(a, e, m, p):
-    r = [1]
-    b = list(a)
-    while e:
-        if e & 1:
-            r = _poly_mulmod_fp(r, b, m, p)
-        b = _poly_mulmod_fp(b, b, m, p)
-        e >>= 1
-    return r
-
-
-def _poly_gcd_fp(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b, b monic-ized on the fly
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b) and a:
-            c = a[-1] * inv % p
-            off = len(a) - len(b)
-            for j in range(len(b)):
-                a[off + j] = (a[off + j] - c * b[j]) % p
-            _poly_trim(a)
-        a, b = b, a
-    return a
-
-
-def _poly_sub_fp(a, b, p):
-    return _poly_trim([(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _poly_irreducible_fp(m, p) -> bool:
-    """Monic m of degree f is irreducible over F_p: x^{p^f} = x mod m and
-    x^{p^{f/l}} - x is coprime to m for every prime l | f."""
-    f = len(m) - 1
-    if f < 1:
-        return False
-    x = [0, 1]
-    if _poly_sub_fp(_poly_powmod_fp(x, p ** f, m, p), x, p):
-        return False
-    for ell in {q for q in range(2, f + 1) if f % q == 0 and _is_prime(q)}:
-        diff = _poly_sub_fp(_poly_powmod_fp(x, p ** (f // ell), m, p), x, p)
-        if not diff:
-            return False
-        if len(_poly_gcd_fp(m, diff, p)) - 1 > 0:
-            return False
-    return True
-
-
 def _default_modulus(p: int, f: int):
     """First monic irreducible of degree f over F_p, coefficients enumerated
-    lexicographically.  Degree 1 is the polynomial x."""
+    lexicographically.  Degree 1 is the polynomial x; for f > 1 the
+    constant term of an irreducible is nonzero, so the search starts at 1."""
     if f == 1:
         return (0, 1)
-    for tail in itertools.product(range(p), repeat=f):
-        m = list(tail) + [1]
-        if _poly_irreducible_fp(m, p):
-            return tuple(m)
+    for tail in itertools.product(range(1, p), *[range(p)] * (f - 1)):
+        if _is_irreducible(p, tail + (1,)):
+            return tail + (1,)
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def _is_irreducible(p: int, modulus) -> bool:
+    """Rabin's test for a monic modulus of degree f > 1 over F_p, run in
+    F_p[x]/(modulus): x^{p^f} = x, and x^{p^{f/l}} - x is a unit for every
+    prime l | f.  An element is a unit exactly when multiplication by it,
+    an f x f matrix over F_p, has full rank."""
+    F = PrecisionContext._unchecked(p, 1, modulus)
+    Fp = PrecisionContext._unchecked(p, 1, (0, 1))
+    f = F.f
+    x = (0, 1) + (0,) * (f - 2)
+    if F._pow_raw(x, p ** f) != x:
+        return False
+    for ell in {q for q in range(2, f + 1) if f % q == 0 and _is_prime(q)}:
+        diff = F.sub_raw(F._pow_raw(x, p ** (f // ell)), x)
+        mult = [[(c,) for c in F.mul_raw(diff, (0,) * i + (1,) + (0,) * (f - 1 - i))]
+                for i in range(f)]
+        if None in _smith_raw(Fp, mult)[0]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +130,22 @@ class PrecisionContext:
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) != f + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree f")
-        if f > 1 and not _poly_irreducible_fp([c % p for c in modulus], p):
+        if f > 1 and not _is_irreducible(p, modulus):
             raise ValueError("modulus is reducible mod p")
+        self._setup(p, N, modulus)
+
+    @classmethod
+    def _unchecked(cls, p: int, N: int, modulus) -> "PrecisionContext":
+        """The context without the prime and irreducibility checks; at N = 1
+        it is F_p[x]/(modulus) for any monic modulus."""
+        ctx = cls.__new__(cls)
+        ctx._setup(p, N, modulus)
+        return ctx
+
+    def _setup(self, p, N, modulus):
         self.p = p
         self.N = N
-        self.f = f
+        self.f = len(modulus) - 1
         self.modulus = modulus
         self.pN = p ** N
         self._frob_pows = None  # rows: coords of sigma(x)^j, computed lazily
@@ -203,7 +165,7 @@ class PrecisionContext:
 
     def residue(self) -> "PrecisionContext":
         """The same field data at precision 1 (arithmetic in F_{p^f})."""
-        return PrecisionContext(self.p, 1, self.f, self.modulus)
+        return PrecisionContext._unchecked(self.p, 1, self.modulus)
 
     # -- raw tuple arithmetic ------------------------------------------------
 
@@ -298,12 +260,10 @@ class PrecisionContext:
                 raise NotAUnit("element is divisible by p")
             return (pow(a[0], -1, self.pN),)
         p = self.p
-        abar = [x % p for x in a]
-        if not _poly_trim(list(abar)):
+        if not any(x % p for x in a):
             raise NotAUnit("element is divisible by p")
-        # extended Euclid over F_p to invert mod (p, modulus)
-        inv = self._inv_mod_p(abar)
-        x = tuple(inv[i] if i < len(inv) else 0 for i in range(self.f))
+        # Fermat's inverse a^{p^f - 2} in the residue field, then Newton
+        x = self.residue()._pow_raw(a, p ** self.f - 2)
         k = 1
         while k < self.N:
             # x <- x(2 - a x), doubling the precision of a*x == 1
@@ -312,34 +272,6 @@ class PrecisionContext:
             x = self.mul_raw(x, two_minus)
             k *= 2
         return x
-
-    def _inv_mod_p(self, abar):
-        p = self.p
-        m = [c % p for c in self.modulus]
-        # extended Euclid: find u with u*abar == 1 mod (m, p)
-        r0, r1 = list(m), _poly_trim(list(abar))
-        s0, s1 = [], [1]
-        while r1:
-            inv = pow(r1[-1], -1, p)
-            q = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            r = list(r0)
-            while len(r) >= len(r1) and r:
-                c = r[-1] * inv % p
-                off = len(r) - len(r1)
-                q[off] = c
-                for j in range(len(r1)):
-                    r[off + j] = (r[off + j] - c * r1[j]) % p
-                _poly_trim(r)
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] = (qs1[i + j] + qi * sj) % p
-            s = [(a - b) % p for a, b in itertools.zip_longest(s0, qs1, fillvalue=0)]
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(s)
-        c = pow(r0[-1], -1, p)  # normalize gcd (a unit of F_p)
-        return [x * c % p for x in s0]
 
     # -- Frobenius lift ------------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: integer
 determinants by permutation expansion, rational kernel bases by hand-rolled
-elimination, lattice equality through unit minors.  The eliminations over
+elimination, lattice equality through unit minors, irreducibility of a
+residue modulus by trial division (the library runs Rabin's test in
+F_p[x]/(m) on its own arithmetic).  The eliminations over
 O_F / p^N are the earlier separate loops: the characteristic polynomial by
 permutation expansion, and Smith form, determinant and residue rank each
 with its own reduction.  The lattice oracle solves for H and forms the
@@ -52,6 +54,24 @@ from wachlab.padic import (
     vp_int,
 )
 from wachlab.wach import _ingredients
+
+
+def irreducible_ref(modulus, p):
+    """Whether the monic modulus (coefficients from the constant term up) is
+    irreducible over F_p: trial division by every monic polynomial of degree
+    1 .. f // 2 leaves a nonzero remainder."""
+    f = len(modulus) - 1
+    for k in range(1, f // 2 + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            g = list(tail) + [1]
+            r = [c % p for c in modulus]
+            for i in range(f - k, -1, -1):  # clear the coefficient of x^{i+k}
+                c = r[i + k]
+                for j in range(k + 1):
+                    r[i + j] = (r[i + j] - c * g[j]) % p
+            if not any(r[:k]):
+                return False
+    return True
 
 
 def int_det(m):

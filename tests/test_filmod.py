@@ -254,17 +254,18 @@ class TestStrongDivisibility:
         D = module(5, 8, (0, 1, 2), [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
         ok, adapted = strong_divisibility_check(D.to_raw())
         assert ok and adapted == D
-        # one per decreasing-flag check, one for the lattice sum, one per
-        # level and one per split test
+        # one per level, one for the lattice sum and one per split test
         assert len(calls) <= 8
         # Phi = 3 Id with Fil^2 = (3, 0): strongly divisible, but Fil^2 is not
-        # saturated in Fil^1, so extraction stops at level 1
+        # saturated in Fil^1, so extraction stops at level 1.  Construction
+        # reduces each of the three levels once; the check adds the lattice
+        # sum and one split test
         ctx = PrecisionContext(3, 8)
         full = OFMatrix.identity(ctx, 2)
-        raw = RawFilPhiModule(ctx, full * 3, [full, full, OFMatrix(ctx, [[3, 0]])])
         calls.clear()
+        raw = RawFilPhiModule(ctx, full * 3, [full, full, OFMatrix(ctx, [[3, 0]])])
         assert strong_divisibility_check(raw) == (True, None)
-        assert len(calls) == 4
+        assert len(calls) == 5
 
 
 def _int_det(m):

@@ -16,7 +16,7 @@ import wachlab.padic
 from wachlab import ParseError, ValidationError
 from wachlab.cep import cep_check, tam_exponent
 from wachlab.cli import _run_one, _usable_cpus, _worker_count, main
-from wachlab.filmod import dual_twist
+from wachlab.filmod import FilPhiModule, dual_twist
 from wachlab.jobs import build_module, format_job, generate_corpus, parse_job, run_job
 
 MINIMAL = """
@@ -279,6 +279,31 @@ command tam triv
         job = parse_job(MINIMAL)
         job.N = 201
         with pytest.raises(ValidationError, match="precision N = 201 exceeds the cap 200"):
+            run_job(job)
+
+    def test_modules_built_once(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return FilPhiModule(*args, **kwargs)
+
+        monkeypatch.setattr(wachlab.jobs, "FilPhiModule", counted)
+        text = MINIMAL + "module m2\nrank 2\njumps 0 1\nrow 0 1\nrow 1 0\nendmodule\n"
+        assert json.loads(run_job(parse_job(text)))["ok"]
+        assert len(built) == 2
+        # settings changed after parsing are validated and built again
+        job = parse_job(MINIMAL)
+        built.clear()
+        job.N = 6
+        assert json.loads(run_job(job))["job"]["N"] == 6
+        assert len(built) == 1 and built[0][0].N == 6
+        job.M = 0
+        with pytest.raises(ValidationError, match="M must exceed p-1"):
+            run_job(job)
+        job.M = 20
+        job.modules["m1"].rows[0][0] = "3"
+        with pytest.raises(ValidationError, match="invertible"):
             run_job(job)
 
     def test_byte_determinism(self):

@@ -1,7 +1,9 @@
 """Base ring layer: Frobenius lift, Teichmuller lifts, SNF, Newton slopes,
 stable rank, semisimplicity."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,12 @@ from wachlab import (
 )
 from wachlab.padic import _coordinates, _row_basis, rational_rank
 
-from oracles import lattice_contains_all_ref, row_basis_ref, solve_in_basis_ref
+from oracles import (
+    irreducible_ref,
+    lattice_contains_all_ref,
+    row_basis_ref,
+    solve_in_basis_ref,
+)
 
 
 def rand_matrix(ctx, d, rng):
@@ -52,6 +59,43 @@ class TestContext:
     def test_default_modulus_irreducible(self):
         ctx = PrecisionContext(3, 4, f=2)
         assert len(ctx.modulus) == 3 and ctx.modulus[-1] == 1
+
+    @pytest.mark.parametrize("p, degrees", [(3, (2, 3, 4)), (5, (2, 3)), (7, (2, 3))])
+    def test_irreducibility_against_trial_division(self, p, degrees):
+        moduli = [tail + (1,) for f in degrees
+                  for tail in itertools.product(range(p), repeat=f)]
+        if p == 3:
+            moduli.append((-1, 0, 1))
+        for m in moduli:
+            try:
+                PrecisionContext(p, 2, f=len(m) - 1, modulus=m)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == irreducible_ref(m, p), m
+
+    @pytest.mark.parametrize("p, f, modulus", [
+        (3, 2, (1, 0, 1)), (3, 3, (1, 0, 2, 1)), (3, 4, (1, 0, 1, 1, 1)),
+        (3, 5, (1, 0, 0, 0, 2, 1)), (5, 2, (1, 1, 1)), (5, 4, (1, 0, 1, 1, 1)),
+        (7, 3, (1, 0, 1, 1)), (11, 3, (1, 0, 4, 1)), (101, 3, (1, 0, 1, 1))])
+    def test_default_modulus_table(self, p, f, modulus):
+        assert PrecisionContext(p, 4, f=f).modulus == modulus
+
+    @pytest.mark.parametrize("f, modulus", [(3, (1, 0, 1, 1)), (4, (1, 0, 0, 3, 1))])
+    def test_default_modulus_large_p(self, f, modulus):
+        start = time.perf_counter()
+        ctx = PrecisionContext(997, 20, f=f)
+        assert time.perf_counter() - start < 1.0
+        assert ctx.modulus == modulus
+
+    @pytest.mark.parametrize("p, f", [(3, 2), (5, 3), (3, 4), (101, 2), (101, 3)])
+    def test_unit_inverse(self, p, f):
+        ctx = PrecisionContext(p, 12, f=f)
+        rng = random.Random(p * f)
+        for _ in range(50):
+            x = OFElement(ctx, tuple(rng.randrange(ctx.pN) for _ in range(f)))
+            if x.is_unit():
+                assert x * x.unit_inverse() == 1
 
 
 class TestFrobenius:
