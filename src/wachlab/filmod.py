@@ -149,13 +149,15 @@ def strong_divisibility_check(raw: RawFilPhiModule):
     Returns (flag, adapted) where adapted is a FilPhiModule presentation
     extracted from the filtration flags, or None when the flags do not
     split off as direct summands (the sum condition can still hold then).
+    Raises PrecisionLoss when every level is divisible but a nonempty level
+    i >= N is: phi(Fil^i) is then 0 mod p^N, and its quotient by p^i unknown.
     """
     ctx = raw.ctx
     if len(raw.fil_gens) > ctx.p:
         for g in raw.fil_gens[ctx.p:]:
             if g is not None and g.rows > 0:
                 raise ValidationError("filtration window exceeds [0, p-1]")
-    stacked = []
+    stacked, undecided = [], []
     for level, gens in enumerate(raw.fil_gens):
         if gens is None:
             continue
@@ -164,6 +166,11 @@ def strong_divisibility_check(raw: RawFilPhiModule):
                                         [level] * gens.rows).raw)
         except PrecisionLoss:
             return False, None  # phi(Fil^i) not divisible by p^i
+        if level >= ctx.N and gens.rows:
+            undecided.append(level)
+    if undecided:
+        i = undecided[0]
+        raise PrecisionLoss(f"p^-{i} phi(Fil^{i}) is undecided at N={ctx.N}")
     snf = smith_normal_form(OFMatrix._of(ctx, tuple(stacked)))
     full = (snf.rank == raw.d and all(e == 0 for e in snf.exponents[:raw.d]))
     if not full:

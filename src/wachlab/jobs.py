@@ -60,6 +60,8 @@ class ModuleSpec:
     jumps: list
     rows: list
     shift: int = 0
+    # the line of each row, for errors; empty for a spec not parsed from text
+    lines: list = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass
@@ -109,6 +111,7 @@ def parse_job(text: str) -> JobDocument:
     header: dict = {}
     modules: dict = {}
     commands: list = []
+    named: dict = {}  # module name -> line of the first command naming it
     current: ModuleSpec | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -129,6 +132,7 @@ def parse_job(text: str) -> JobDocument:
                 current.shift = _expect_int(parts, 1, lineno)
             elif key == "row":
                 current.rows.append(parts[1:])
+                current.lines.append(lineno)
             else:
                 raise ParseError(f"unknown module field '{key}'", line=lineno,
                                  field=key)
@@ -152,6 +156,7 @@ def parse_job(text: str) -> JobDocument:
                 if len(parts) != 3:
                     raise ParseError(f"command {name} needs a module", line=lineno)
                 commands.append((name, parts[2]))
+                named.setdefault(parts[2], lineno)
         elif key in header:
             raise ParseError(f"repeated header key '{key}'", line=lineno, field=key)
         elif key in ("p", "f", "n", "m", "mt", "seed"):
@@ -176,10 +181,10 @@ def parse_job(text: str) -> JobDocument:
     if job.f != 1:
         raise ValidationError("the batch runner supports f = 1 only")
     validate_job(job)
-    for cmd, mod in commands:
-        if mod is not None and mod not in modules:
+    for mod, lineno in named.items():
+        if mod not in modules:
             raise ParseError(f"command references unknown module '{mod}'",
-                             field="command")
+                             line=lineno, field="command")
     return job
 
 
@@ -234,8 +239,9 @@ def build_module(job: JobDocument, spec: ModuleSpec) -> FilPhiModule:
         ctx = PrecisionContext(job.p, job.N, f=job.f)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    entries = [[_parse_entry(tok, job.p, 0) if isinstance(tok, str) else int(tok)
-                for tok in row] for row in spec.rows]
+    lines = spec.lines + [None] * len(spec.rows)  # None past the parsed rows
+    entries = [[_parse_entry(tok, job.p, line) if isinstance(tok, str) else int(tok)
+                for tok in row] for row, line in zip(spec.rows, lines)]
     return FilPhiModule(ctx, spec.jumps, OFMatrix(ctx, entries), shift=spec.shift)
 
 

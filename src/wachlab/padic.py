@@ -7,13 +7,15 @@ precision 1: the irreducibility test of the modulus (Rabin's criterion) and
 the residue inverse that Hensel lifting starts from.  The default modulus is
 the lexicographically first monic irreducible of degree f (coefficients
 read from the constant term up), whose constant term is necessarily nonzero
-for f > 1.  The module also provides
-matrices over O_F with Smith normal form over the local ring, Newton
-polygons of characteristic polynomials, the stabilized rank of a
-semilinear reduction mod p, and a semisimplicity test for exact rational
-matrices.  A matrix holds its entries as raw rows, tuples of those
-coordinate vectors, and every matrix routine reads and returns raw rows;
-`OFMatrix.entries` and M[i, j] are `OFElement` views at the API boundary.
+for f > 1.  The module also provides matrices over O_F with Smith normal
+form over the local ring, Newton polygons of characteristic polynomials,
+the stabilized rank of a semilinear reduction mod p, and a semisimplicity
+test for exact rational matrices.  A matrix holds its entries as raw rows,
+tuples of those coordinate vectors, and every matrix routine reads and
+returns raw rows; `OFMatrix.entries` and M[i, j] are `OFElement` views at
+the API boundary.  Every O_F elimination step is one raw row operation,
+`sub_mul_raw`: the Smith reduction's (V reduced as the rows of its
+transpose) and the Gauss-Jordan inverse's on [M | I].
 
 All values are immutable after construction; operations are pure.
 """
@@ -103,11 +105,6 @@ def _is_irreducible(p: int, modulus) -> bool:
 # ---------------------------------------------------------------------------
 # precision context
 # ---------------------------------------------------------------------------
-
-class _InexactShift(Exception):
-    """Internal marker for a failed exact division; never escapes the module
-    without being converted to a package error."""
-
 
 class PrecisionContext:
     """Fixes (p, f, N) and the residue modulus once for a whole computation.
@@ -217,6 +214,14 @@ class PrecisionContext:
                 r[i] = 0
         return tuple(x % pN for x in r[:f])
 
+    def sub_mul_raw(self, x, q, y):
+        """The row x - q y of raw elements: every O_F elimination's one step."""
+        if self.f == 1:
+            q0, pN = q[0], self.pN
+            return [((a[0] - q0 * b[0]) % pN,) for a, b in zip(x, y)]
+        sub, mul = self.sub_raw, self.mul_raw
+        return [sub(a, mul(q, b)) for a, b in zip(x, y)]
+
     def dot_raw(self, u, v):
         """sum_k u_k v_k over two sequences of raw elements."""
         if self.f == 1:
@@ -249,7 +254,7 @@ class PrecisionContext:
         out = []
         for x in a:
             if x % pk:
-                raise _InexactShift
+                raise PrecisionLoss(f"representative not divisible by p^{k}")
             out.append(x // pk)
         return tuple(out)
 
@@ -408,10 +413,7 @@ class OFElement:
         Absolute precision of the result is only N - k, but the value is
         re-embedded at precision N (higher digits unspecified-as-zero); use
         with care, mainly for Smith-normal-form internals."""
-        try:
-            return OFElement(self.ctx, self.ctx.shift_raw(self.coeffs, k))
-        except _InexactShift:
-            raise PrecisionLoss(f"representative not divisible by p^{k}") from None
+        return OFElement(self.ctx, self.ctx.shift_raw(self.coeffs, k))
 
 
 def frobenius(x: OFElement) -> OFElement:
@@ -539,29 +541,22 @@ class OFMatrix:
         return OFElement(ctx, acc if sign > 0 else ctx.neg_raw(acc))
 
     def inverse(self) -> "OFMatrix":
-        """Inverse over the local ring; requires a unit determinant."""
+        """Inverse by Gauss-Jordan on the rows of [M | I]; needs a unit det."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        ctx = self.ctx
-        n = self.rows
-        a = [list(row) for row in self.raw]
-        b = [list(row) for row in OFMatrix.identity(ctx, n).raw]
+        ctx, n = self.ctx, self.rows
+        a = [list(r + e) for r, e in zip(self.raw, OFMatrix.identity(ctx, n).raw)]
         for k in range(n):
             piv = next((i for i in range(k, n) if ctx.val_raw(a[i][k]) == 0), None)
             if piv is None:
                 raise NotAUnit("matrix is not invertible over O_F")
-            if piv != k:
-                a[piv], a[k] = a[k], a[piv]
-                b[piv], b[k] = b[k], b[piv]
+            a[piv], a[k] = a[k], a[piv]
             inv = ctx.inv_raw(a[k][k])
             a[k] = [ctx.mul_raw(inv, e) for e in a[k]]
-            b[k] = [ctx.mul_raw(inv, e) for e in b[k]]
             for i in range(n):
                 if i != k and ctx.val_raw(a[i][k]) is not None:
-                    q = a[i][k]
-                    a[i] = [ctx.sub_raw(e, ctx.mul_raw(q, f)) for e, f in zip(a[i], a[k])]
-                    b[i] = [ctx.sub_raw(e, ctx.mul_raw(q, f)) for e, f in zip(b[i], b[k])]
-        return OFMatrix._of(ctx, tuple(map(tuple, b)))
+                    a[i] = ctx.sub_mul_raw(a[i], a[i][k], a[k])
+        return OFMatrix._of(ctx, tuple(tuple(row[n:]) for row in a))
 
     def frobenius_map(self) -> "OFMatrix":
         """sigma applied to each entry; the matrix itself when f = 1."""
@@ -603,16 +598,16 @@ class SmithNormalForm:
         return sum(1 for e in self.exponents if e is not None)
 
 
-def _smith_raw(ctx, a, U=None, V=None):
+def _smith_raw(ctx, a, U=None, Vt=None):
     """Smith reduction of the raw matrix `a` (lists of coefficient tuples),
     in place; returns (exponents, sign of the row and column swaps).
 
     Pivots have minimal valuation (ties row-major), so e_1 <= e_2 <= ...;
     None marks the diagonal past the rank, where the rest is 0 at precision.
-    Row operations clear each pivot column exactly mod p^N and are replayed
-    on U when given; the column operations that would clear the pivot row
-    are replayed on V only, so `a` ends upper triangular with the Smith
-    diagonal.
+    Each step is the row operation `ctx.sub_mul_raw`: rows clearing the
+    pivot column exactly mod p^N, replayed on U when given, and the column
+    operations that would clear the pivot row, replayed only on V as rows of
+    its transpose Vt, so `a` ends upper triangular with the Smith diagonal.
     """
     nr = len(a)
     nc = len(a[0]) if a else 0
@@ -631,8 +626,10 @@ def _smith_raw(ctx, a, U=None, V=None):
                 U[i0], U[k] = U[k], U[i0]
             sign = -sign
         if j0 != k:
-            for r in a if V is None else a + V:
+            for r in a:
                 r[j0], r[k] = r[k], r[j0]
+            if Vt is not None:
+                Vt[j0], Vt[k] = Vt[k], Vt[j0]
             sign = -sign
         unit_inv = ctx.inv_raw(ctx.shift_raw(a[k][k], v))
         for i in range(k + 1, nr):
@@ -640,19 +637,16 @@ def _smith_raw(ctx, a, U=None, V=None):
             if ctx.val_raw(e) is None:
                 continue
             q = ctx.mul_raw(ctx.shift_raw(e, v), unit_inv)
-            for j in range(k, nc):
-                a[i][j] = ctx.sub_raw(a[i][j], ctx.mul_raw(q, a[k][j]))
+            a[i][k:] = ctx.sub_mul_raw(a[i][k:], q, a[k][k:])
             if U is not None:
-                for j in range(nr):
-                    U[i][j] = ctx.sub_raw(U[i][j], ctx.mul_raw(q, U[k][j]))
-        if V is not None:
+                U[i] = ctx.sub_mul_raw(U[i], q, U[k])
+        if Vt is not None:
             for j in range(k + 1, nc):
                 e = a[k][j]
                 if ctx.val_raw(e) is None:
                     continue
                 q = ctx.mul_raw(ctx.shift_raw(e, v), unit_inv)
-                for i in range(nc):
-                    V[i][j] = ctx.sub_raw(V[i][j], ctx.mul_raw(q, V[i][k]))
+                Vt[j] = ctx.sub_mul_raw(Vt[j], q, Vt[k])
         exps.append(v)
     return exps, sign
 
@@ -667,12 +661,12 @@ def smith_normal_form(M: OFMatrix) -> SmithNormalForm:
     ctx = M.ctx
     nr, nc = M.rows, M.cols
     a = [list(row) for row in M.raw]
-    U, V = ([list(row) for row in OFMatrix.identity(ctx, n).raw] for n in (nr, nc))
-    exps, _ = _smith_raw(ctx, a, U, V)
+    U, Vt = (list(OFMatrix.identity(ctx, n).raw) for n in (nr, nc))
+    exps, _ = _smith_raw(ctx, a, U, Vt)
     zero = ctx.zero_raw()
     D = [[a[i][i] if i == j else zero for j in range(nc)] for i in range(nr)]
-    return SmithNormalForm(*(OFMatrix._of(ctx, tuple(map(tuple, m))) for m in (U, D, V)),
-                           tuple(exps))
+    return SmithNormalForm(*(OFMatrix._of(ctx, tuple(map(tuple, m))) for m in (U, D)),
+                           OFMatrix._of(ctx, tuple(zip(*Vt))), tuple(exps))
 
 
 def _row_basis(snf: SmithNormalForm) -> OFMatrix:
@@ -701,7 +695,7 @@ def _coordinates(snf: SmithNormalForm, X: OFMatrix) -> OFMatrix | None:
         try:
             rows.append(tuple(ctx.mul_raw(ctx.shift_raw(x, e), u)
                               for x, (e, u) in zip(row, divisors)))
-        except _InexactShift:
+        except PrecisionLoss:
             return None
     return OFMatrix._of(ctx, tuple(rows))
 
@@ -710,11 +704,8 @@ def _divide_rows(M: OFMatrix, ks) -> OFMatrix:
     """M with row i divided exactly by p^{ks[i]} (re-embedded at precision
     N); raises PrecisionLoss when a representative is not divisible."""
     shift = M.ctx.shift_raw
-    try:
-        return OFMatrix._of(M.ctx, tuple(tuple(shift(e, k) for e in row)
-                                         for row, k in zip(M.raw, ks)))
-    except _InexactShift:
-        raise PrecisionLoss("row not divisible by its power of p") from None
+    return OFMatrix._of(M.ctx, tuple(tuple(shift(e, k) for e in row)
+                                     for row, k in zip(M.raw, ks)))
 
 
 # ---------------------------------------------------------------------------

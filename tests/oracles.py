@@ -1083,6 +1083,10 @@ def strong_divisibility_check_ref(raw):
                                else list(row))
             except PrecisionLoss:
                 return False, None
+    # a nonempty level i >= N passed only as 0 mod p^N: its quotient is unknown
+    for level, gens in enumerate(raw.fil_gens):
+        if level >= ctx.N and gens is not None and gens.rows > 0:
+            raise PrecisionLoss(f"p^-{level} phi(Fil^{level}) is undecided at N={ctx.N}")
     snf = smith_normal_form(OFMatrix(ctx, stacked))
     if not (snf.rank == raw.d and all(e == 0 for e in snf.exponents[:raw.d])):
         return False, None

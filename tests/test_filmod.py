@@ -6,7 +6,7 @@ import random
 import pytest
 
 from oracles import decreasing_ref, strong_divisibility_check_ref
-from wachlab import OFMatrix, PrecisionContext, ValidationError, filmod
+from wachlab import OFMatrix, PrecisionContext, PrecisionLoss, ValidationError, filmod
 from wachlab.padic import smith_normal_form
 from wachlab.filmod import (
     CategoryFlags,
@@ -147,6 +147,33 @@ class TestStrongDivisibility:
                 assert adapted is not None
                 assert adapted.jumps == D.jumps
 
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_round_trip_any_basis(self, p):
+        """Known answer: an adapted module written in a random basis W
+        (Phi' = W^sigma Phi W^{-1}, each flag the rows of W^{-1} at or above
+        its level), with each level's generators mixed by a random
+        unimodular matrix, gives back its jumps; when r_d >= N the quotient
+        p^{-r_d} phi(Fil^{r_d}) is unknown and the check raises."""
+        rng = random.Random(40 + p)
+        outcomes = collections.Counter()
+        for N in (6, 12, 20):
+            ctx = PrecisionContext(p, N)
+            for _ in range(24):
+                D = rand_module(ctx, rng.randrange(1, 5), rng)
+                W = unimodular(ctx, D.d, rng)
+                Winv = W.inverse()
+                gens = [unimodular(ctx, g.rows, rng) * g * Winv for g in D.to_raw().fil_gens]
+                raw = RawFilPhiModule(ctx, W.frobenius_map() * D.phi_matrix() * Winv, gens)
+                if D.jumps[-1] >= N:
+                    with pytest.raises(PrecisionLoss, match=f"Fil\\^{D.jumps[-1]}"):
+                        strong_divisibility_check(raw)
+                    outcomes["precision"] += 1
+                    continue
+                ok, adapted = strong_divisibility_check(raw)
+                assert ok and adapted.jumps == D.jumps
+                outcomes["recovered"] += 1
+        assert outcomes["recovered"] and bool(outcomes["precision"]) == (p == 7)
+
     def test_false_when_jump_raised(self):
         # claim a vector one filtration level too high: the lattice sum leaks
         rng = random.Random(9)
@@ -232,16 +259,19 @@ class TestStrongDivisibility:
                 try:
                     flag, adapted = check(raw)
                 except ValidationError as exc:
-                    results.append(str(exc))
+                    results.append(("window", str(exc)))
+                    continue
+                except PrecisionLoss as exc:
+                    results.append(("precision", str(exc)))
                     continue
                 results.append((flag, adapted and (adapted.jumps, repr(adapted.A))))
             assert results[0] == results[1]
             r = results[0]
-            outcomes["window" if isinstance(r, str) else (r[0], r[1] is not None)] += 1
+            outcomes[r[0] if isinstance(r[0], str) else (r[0], r[1] is not None)] += 1
         # split, strongly divisible but not split, not strongly divisible,
-        # window overflow
-        assert set(outcomes) == {"accepted", "window", (True, True), (True, False),
-                                 (False, False)}
+        # window overflow, a nonempty level at or past N
+        assert set(outcomes) == {"accepted", "window", "precision", (True, True),
+                                 (True, False), (False, False)}
 
     def test_smith_calls(self, monkeypatch):
         calls = []

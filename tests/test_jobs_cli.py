@@ -17,7 +17,8 @@ from wachlab import ParseError, ValidationError
 from wachlab.cep import cep_check, tam_exponent
 from wachlab.cli import _run_one, _usable_cpus, _worker_count, main
 from wachlab.filmod import FilPhiModule, dual_twist
-from wachlab.jobs import build_module, format_job, generate_corpus, parse_job, run_job
+from wachlab.jobs import (ModuleSpec, build_module, format_job, generate_corpus, parse_job,
+                          run_job)
 
 MINIMAL = """
 p 3
@@ -86,6 +87,12 @@ class TestParse:
         from wachlab.jobs import build_module
         D = build_module(job, job.modules["m1"])
         assert D.A.entries[0][0].coeffs[0] == 11
+
+    def test_hand_built_spec_has_no_line(self):
+        job = parse_job(MINIMAL)
+        with pytest.raises(ParseError, match="bad matrix entry") as err:
+            build_module(job, ModuleSpec("m2", 1, [1], [["1x"]]))
+        assert err.value.line is None
 
     def test_missing_p(self):
         with pytest.raises(ParseError):
@@ -518,6 +525,21 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert rc == 1
         assert out["error"]["type"] == "ParseError" and out["error"]["line"] == 2
+
+    @pytest.mark.parametrize("doc,line", [
+        (MINIMAL.replace("p 3", "p 5").replace("row 2", "row p:7"), 9),
+        (MINIMAL.replace("row 2", "row 1x"), 9),
+        (RANK2.replace("row 1 0", "row 1 x"), 9),
+        (MINIMAL + "command tam ghost\ncommand cep ghost\n", 13),
+    ], ids=["digit", "entry", "second-row", "unknown-module"])
+    def test_parse_error_names_its_line(self, tmp_path, capsys, doc, line):
+        # a bad entry names its row's line, an unknown module its first command's
+        f = tmp_path / "bad.wach"
+        f.write_text(doc)
+        rc = main(["run", str(f)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert out["error"]["type"] == "ParseError" and out["error"]["line"] == line
 
     def test_non_utf8_file_is_structured(self, tmp_path, capsys):
         f = tmp_path / "bad.wach"

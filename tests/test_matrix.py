@@ -106,6 +106,21 @@ def test_raw_matrix_matches_object_reference(p, f):
                for square in (True, False))
 
 
+def test_elimination_at_p11_rank9():
+    # the f = 1 row operation at the largest valuation-corpus size; U is
+    # unimodular, so one inverse always succeeds
+    ctx = PrecisionContext(11, 20)
+    rng = random.Random(119)
+    for kind in ("plain", "singular", "divisible"):
+        A = random_matrix(ctx, 9, 9, rng, kind)
+        snf = smith_normal_form(A)
+        assert (snf.U, snf.D, snf.V, snf.exponents) == smith_normal_form_ref(A)
+        assert A.det() == det_ref(A)
+        for M in (A, snf.U, snf.V):
+            assert outcome(M.inverse) == outcome(inverse_ref, M)
+    assert snf.U.inverse() * snf.U == OFMatrix.identity(ctx, 9)
+
+
 def test_frobenius_map_is_identity_at_f1():
     ctx = PrecisionContext(3, 4)
     M = OFMatrix(ctx, [[1, 2], [3, 4]])

@@ -98,6 +98,35 @@ class TestContext:
                 assert x * x.unit_inverse() == 1
 
 
+class TestRowOperation:
+    """`sub_mul_raw`, the one row step of every O_F elimination, and the
+    exact division by p^k that the eliminations and solvers lean on."""
+
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_sub_mul_raw_matches_per_entry(self, f):
+        ctx = PrecisionContext(5, 6, f=f)
+        rng = random.Random(f)
+
+        def elt():
+            return tuple(rng.randrange(ctx.pN) * 5 ** rng.randrange(3) for _ in range(f))
+        for n in range(5):  # n = 0: empty rows
+            x, y = [elt() for _ in range(n)], [elt() for _ in range(n)]
+            for q in (ctx.zero_raw(), elt(), elt()):
+                assert ctx.sub_mul_raw(x, q, y) == [ctx.sub_raw(a, ctx.mul_raw(q, b))
+                                                    for a, b in zip(x, y)]
+
+    def test_inexact_division(self):
+        ctx = PrecisionContext(3, 6)
+        assert OFElement(ctx, 18).divide_exact_p(2) == 2
+        with pytest.raises(PrecisionLoss, match=r"^representative not divisible by p\^2$"):
+            OFElement(ctx, 3).divide_exact_p(2)
+        # (3, 1) has coordinate 3 against the divisor 9: not in the lattice
+        snf = smith_normal_form(OFMatrix(ctx, [[9, 0], [0, 1]]))
+        assert _coordinates(snf, OFMatrix(ctx, [[3, 1]])) is None
+        X = OFMatrix(ctx, [[18, 1]])
+        assert _coordinates(snf, X) * _row_basis(snf) == X
+
+
 class TestFrobenius:
     def test_identity_when_f1(self):
         ctx = PrecisionContext(3, 4)
