@@ -33,7 +33,7 @@ from .cep import cep_check, tam_exponent
 from .wach import check_q_cokernel, gamma_matrix
 from . import iwasawa as iw
 
-SCHEMA = "wachlab-report/1"
+SCHEMA = "wachlab-report/2"
 KNOWN_COMMANDS = ("check", "slopes", "wach", "tam", "cep", "iwasawa-check")
 
 #: Upper bounds on a job's settings, so that no input line can start a

@@ -10,9 +10,16 @@ congruent to Diag(p^{r_i}) A mod pi^{p-1}, and solves
     H - q^{p-1} gamma(P^{-1}) phi(H) P = Q    with    gamma(P^{-1}) P = Id + pi^{p-1} Q
 
 by the fixed-point iteration H <- Q + L(H), monitored by the combined
-(p, pi)-valuation of successive differences.  The group action on the new
-lattice is G = Id + pi^{p-1} H, and the defining relation
-gamma(P) G = phi(G) P is re-verified by direct substitution.
+(p, pi)-valuation of successive differences.  L(H) mod pi^n depends only
+on H mod pi^n, so the iteration runs as a pi-adic doubling ladder: it
+solves at a small pi-order (at most LADDER_BOTTOM), pads the fixed point
+with zeros to twice that order and iterates again, up to the full order,
+where only two or three iterations are left (the precision doubling for
+power-series solutions of Bostan, Chyzak, Ollivier, Salvy, Schost and
+Sedoglavic, SODA 2007); a given starting matrix seeds one full-order
+solve instead.  The group action on the new lattice is
+G = Id + pi^{p-1} H, and the defining relation gamma(P) G = phi(G) P is
+re-verified by direct substitution.
 
 P^{-1} itself is not integral (det P has constant term a power of p), so
 every stored series goes through exact factorizations:
@@ -258,6 +265,23 @@ def compute_Q(D: FilPhiModule, c: int, order: int | None = None):
         cols)) for j in range(d)] for i in range(d)])
 
 
+#: The bottom of the solver's doubling ladder: halving the pi-order stops at
+#: the first level at or below it.  lattice-n20's solve time is flat for
+#: bottoms 8-32 and rises above; small orders (N = 6), whose direct solve
+#: takes 2-5 iterations, lose time to each extra level, so 24 is the top of
+#: that flat range.
+LADDER_BOTTOM = 24
+
+
+def _levels(mh: int) -> list[int]:
+    """The solver's pi-orders n_0 < ... < n_k = mh, n_{i-1} = ceil(n_i / 2),
+    down to the first at or below LADDER_BOTTOM."""
+    levels = [mh]
+    while levels[-1] > LADDER_BOTTOM:
+        levels.append((levels[-1] + 1) // 2)
+    return levels[::-1]
+
+
 def solve_H(D: FilPhiModule, c: int, order: int | None = None,
             initial=None, Q=None):
     """Solve H - q^{p-1} gamma(P^{-1}) phi(H) P = Q by fixed-point iteration.
@@ -267,37 +291,67 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
     residual monitor raises NonConvergence when the valuation of successive
     differences fails to improve across a window of d*f*N iterations.
 
-    Each step is H <- Q + A^{-1} (W o phi(H)) A on packed values.
-    `initial` overrides the starting matrix (used by the uniqueness tests);
-    the fixed point does not depend on it.  `Q` passes compute_Q(D, c,
-    order) when the caller already has it.
+    Each step is H <- Q + A^{-1} (W o phi(H)) A on packed values.  L(H) mod
+    pi^n depends only on H mod pi^n, so the solve runs as a ladder of
+    pi-orders n_0 < ... < n_k = mh (`_levels`, each the ceiling of half the
+    next, the bottom at or below LADDER_BOTTOM): the fixed point mod pi^n
+    (Q cut to n, W read from the top-order ingredients at n) is the unique
+    one at that order, and, padded with zeros, it starts the next level, so
+    only the last few iterations run at full size.  Each level keeps the
+    stall window and the cap, and its H must reduce to the level below's,
+    else CongruenceFailure.  `initial` overrides the starting matrix and
+    then seeds a single top-level solve (used by the uniqueness tests); the
+    fixed point does not depend on it.  `Q` passes compute_Q(D, c, order)
+    when the caller already has it.
 
-    Returns (H, iterations).
+    Returns (H, iterations), iterations summed over the levels.
     """
     ctx = D.ctx
     order = order or default_order(ctx)
     if Q is None:
         Q = compute_Q(D, c, order)
-    p, d, jumps = ctx.p, D.d, D.jumps
+    p, d, f, jumps = ctx.p, D.d, ctx.f, D.jumps
     mh = order - (p - 1)
-    ker = series_kernel(ctx, mh)
-    table = phi_table(ctx, mh)
     ing = _ingredients(ctx, order, c)
-    # W_kl = z_{r_k} (q mu)^{r_l}, z_r = q^{p-1-r} rho^r
-    W = [ing.packed_product((("q", p - 1 - jumps[k]), ("rho", jumps[k])),
-                            ("qmu", jumps[l]), mh)
-         for k in range(d) for l in range(d)]
     # L_ij = sum_{k,l} (A^{-1})_ik A_lj X_kl, X = W o phi(H), flattened over (k, l)
     a, b = D.A.inverse().raw, D.A.raw
-    mix = [[[ker.scalar(ctx.mul_raw(a[i][k], b[l][j])) for k in range(d) for l in range(d)]
+    mix = [[[ctx.mul_raw(a[i][k], b[l][j]) for k in range(d) for l in range(d)]
             for j in range(d)] for i in range(d)]
-    Qp = _pack(ker, Q)
+    Qc = _raw(Q)
     if initial is None:
-        H = _raw(Q)
+        levels = _levels(mh)
+        H = [[q[:levels[0] * f] for q in row] for row in Qc]
     else:
-        H = [[ker.unpack(ker.pack(e.raw()) & ker.mask) for e in row] for row in initial]
-    window = max(d * ctx.f * ctx.N, 4)
+        levels = [mh]
+        H = [[e.raw()[:mh * f] for e in row] for row in initial]
+    window = max(d * f * ctx.N, 4)
     cap = window * ((p - 1) * ctx.N + order + 2)
+    iterations = 0
+    for n in levels:
+        ker, below = series_kernel(ctx, n), H
+        # W_kl = z_{r_k} (q mu)^{r_l}, z_r = q^{p-1-r} rho^r
+        W = [ing.packed_product((("q", p - 1 - jumps[k]), ("rho", jumps[k])),
+                                ("qmu", jumps[l]), n)
+             for k in range(d) for l in range(d)]
+        H, steps = _fixed_point(
+            ker, phi_table(ctx, n), W,
+            [[list(map(ker.scalar, m)) for m in row] for row in mix],
+            [[ker.pack(q[:n * f]) for q in row] for row in Qc],
+            [[h + [0] * (n * f - len(h)) for h in row] for row in below],
+            window, cap)
+        iterations += steps
+        if n > levels[0] and any(h[:len(g)] != g for hrow, grow in zip(H, below)
+                                 for h, g in zip(hrow, grow)):
+            raise CongruenceFailure(
+                f"the fixed point mod pi^{n} does not reduce to the level below")
+    return _series(ctx, mh, H), iterations
+
+
+def _fixed_point(ker, table, W, mix, Qp, H, window, cap):
+    """(fixed point, iterations) of H <- Q + A^{-1} (W o phi(H)) A modulo
+    pi^M of `ker`, from H (flat coordinate lists), under the stall window
+    and the iteration cap."""
+    d, p = len(H), ker.p
     best, stale, iterations = -1, 0, 0
     while True:
         iterations += 1
@@ -312,7 +366,7 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
             ker, p - 1)
         H = Hnew
         if w is None:
-            return _series(ctx, mh, H), iterations
+            return H, iterations
         if w > best:
             best, stale = w, 0
         else:

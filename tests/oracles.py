@@ -753,12 +753,33 @@ def _smat_identity(ring, ctx, d, order):
     return [[ring.series(ctx, order, [int(i == j)]) for j in range(d)] for i in range(d)]
 
 
-def lattice_oracle(D, c, order, initial=None, ring=LIBRARY):
+def lattice_oracle(D, c, order, initial=None, ring=LIBRARY, levels=None):
     """(P, Q, H, G, residual valuation, iterations) for gamma_matrix(D, c,
     order): P = Diag((q mu)^{r_i}) A, Q from A^{-1} Diag(tau^{r_i}) A, the
     iteration H <- Q + C phi(H) P with C = A^{-1} Diag(q^{p-1-r} rho^r) and
     two full matrix products per step, and gamma(P) G - phi(G) P formed
-    entry by entry, all in `ring`."""
+    entry by entry, all in `ring`.
+
+    `levels` (pi-orders n_0 < ... < n_k = order - (p-1)) runs that iteration
+    at each order n + (p-1) in turn, from its own ingredients, each level
+    seeded with the H of the one below padded with zeros; `iterations` is
+    then the sum over the levels."""
+    ctx = D.ctx
+    p = ctx.p
+    H, iterations = initial, 0
+    for n in levels or [order - (p - 1)]:
+        if levels and H is not None:
+            H = [[ring.series(ctx, n, h.coeffs) for h in row] for row in H]
+        P, Q, H, steps = _oracle_solve(D, c, n + p - 1, H, ring)
+        iterations += steps
+    G = [[e + ring.shift(h, p - 1) for e, h in zip(erow, hrow)]
+         for erow, hrow in zip(_smat_identity(ring, ctx, D.d, order), H)]
+    return P, Q, H, G, residual_oracle(D, c, P, G, order, ring), iterations
+
+
+def _oracle_solve(D, c, order, initial, ring):
+    """(P, Q, H, iterations) of the direct iteration at `order`, from
+    `initial` (default Q)."""
     ctx = D.ctx
     p, d, A = ctx.p, D.d, D.A.entries
     ing = ring.ingredients(ctx, order, c)
@@ -783,16 +804,13 @@ def lattice_oracle(D, c, order, initial=None, ring=LIBRARY):
         delta = _smat_valuation(_smat_sub(Hnew, H), p - 1)
         H = Hnew
         if delta is None:
-            break
+            return P, Q, H, iterations
         if delta > best:
             best, stale = delta, 0
         else:
             stale += 1
             if stale >= window:
                 raise NonConvergence("oracle iteration stalled")
-    G = [[e + ring.shift(h, p - 1) for e, h in zip(erow, hrow)]
-         for erow, hrow in zip(_smat_identity(ring, ctx, d, order), H)]
-    return P, Q, H, G, residual_oracle(D, c, P, G, order, ring), iterations
 
 
 def _sum_series(terms):

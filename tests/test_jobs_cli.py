@@ -146,7 +146,7 @@ class TestParse:
 class TestRun:
     def test_end_to_end_rank_two(self):
         report = json.loads(run_job(parse_job(RANK2)))
-        assert report["schema"] == "wachlab-report/1"
+        assert report["schema"] == "wachlab-report/2"
         assert report["ok"] is True
         by_cmd = {(r["command"], r["module"]): r for r in report["results"]}
         assert by_cmd[("slopes", "m1")]["data"]["slopes"] == ["1/2", "1/2"]
@@ -567,7 +567,7 @@ class TestCli:
         assert capsys.readouterr().out == (
             '{"error":{"reason":"pi-truncation M must exceed p-1",'
             '"type":"ValidationError"},"input":"' + str(f) + '","ok":false,'
-            '"schema":"wachlab-report/1"}\n')
+            '"schema":"wachlab-report/2"}\n')
 
     def test_thread_count_determinism(self, tmp_path):
         files = []

@@ -21,7 +21,7 @@ from oracles import (
 )
 from wachlab import NonConvergence, OFElement, OFMatrix, PrecisionContext
 from wachlab import _kernel
-from wachlab.errors import NotAUnit
+from wachlab.errors import CongruenceFailure, NotAUnit
 from wachlab.aplus import (
     APlusSeries,
     exact_div_pi,
@@ -295,6 +295,51 @@ class TestSolveH:
         with pytest.raises(NonConvergence):
             solve_H(D, 4, 16)
 
+    def test_nonconvergence_through_the_ladder(self):
+        # the same module at an order whose solve spans several levels
+        D = module(3, 6, [0, 2], [[1, 1], [1, 2]])
+        assert len(wach._levels(60 - 2)) >= 2
+        with pytest.raises(NonConvergence):
+            solve_H(D, 4, 60)
+
+    @pytest.mark.parametrize("level", (0, -1))
+    def test_level_not_reducing_to_the_one_below(self, level, monkeypatch):
+        # each level's fixed point reduces to the one below it (a theorem):
+        # a wrong one, at the bottom or the top, raises CongruenceFailure
+        ctx = PrecisionContext(5, 6)
+        D = eligible_random(ctx, 2, random.Random(22))
+        levels = wach._levels(default_order(ctx) - 4)
+        assert len(levels) >= 2
+        true_fixed_point = wach._fixed_point
+
+        def bumped_level(ker, *args):
+            H, steps = true_fixed_point(ker, *args)
+            if ker.M == levels[level]:
+                H[0][1][0] = (H[0][1][0] + 1) % ker.pN
+            return H, steps
+
+        monkeypatch.setattr(wach, "_fixed_point", bumped_level)
+        with pytest.raises(CongruenceFailure):
+            solve_H(D, 6)
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_lift_invariance(self, p):
+        # H at (N, 2(p-1)N) is the reduction mod (p^N, pi^mh) of H at
+        # (2N, 4(p-1)N), for a module at 2N and its reduction to N
+        rng = random.Random(23 + p)
+        for d, want, N in ((1, "unit_root", 4), (3, "unit_root", 6),
+                           (2, "top", 6), (3, "top", 4)):
+            ctx, ctx2 = PrecisionContext(p, N), PrecisionContext(p, 2 * N)
+            D2 = eligible_random(ctx2, d, rng, want)
+            D = FilPhiModule(ctx, D2.jumps, OFMatrix(
+                ctx, [[tuple(x % ctx.pN for x in e) for e in row] for row in D2.A.raw]))
+            assert (unit_root_rank(D) == 0) if want == "unit_root" else top_slope_absent(D)
+            mh = default_order(ctx) - (p - 1)
+            H, _ = solve_H(D, 1 + p)
+            H2, _ = solve_H(D2, 1 + p)
+            assert raw_matrix(H) == [[[x % ctx.pN for x in s.raw()[:mh]] for s in row]
+                                     for row in H2]
+
 
 class TestGammaMatrix:
     def test_G_identity_when_zero_jumps(self):
@@ -495,10 +540,17 @@ def bumped(M, i, j, k, delta=1):
     return out
 
 
+def ladder_iterations(D, c, order):
+    """The oracle's iteration count summed over the solver's levels."""
+    return lattice_oracle(D, c, order, levels=wach._levels(order - (D.ctx.p - 1)))[5]
+
+
 class TestPackedAgainstOracle:
     """The f = 1 pipeline against the APlusSeries-matrix oracle: P, Q, H, G
-    bit-identical, the same residual, iteration count and q-cokernel
-    verdict, over random eligible modules of both eligibility routes."""
+    bit-identical to the single-level oracle, the same residual and
+    q-cokernel verdict, and the iteration count of the oracle run over the
+    solver's levels, over random eligible modules of both eligibility
+    routes."""
 
     CASES = [(p, N, d, want)
              for p, N in ((3, 4), (3, 12), (5, 6), (7, 4), (7, 20))
@@ -510,12 +562,12 @@ class TestPackedAgainstOracle:
         D = eligible_random(ctx, d, random.Random(f"{p}/{N}/{d}/{want}"), want)
         c, order = 1 + p, default_order(ctx)
         W = gamma_matrix(D, c)
-        P, Q, H, G, rv, iterations = lattice_oracle(D, c, order)
+        P, Q, H, G, rv, _ = lattice_oracle(D, c, order)
         for mine, ref in ((W.P, P), (W.Q, Q), (W.H, H), (W.G, G)):
             assert raw_matrix(mine) == raw_matrix(ref)
         assert W.residual_valuation == rv
         assert W.residual_zero is (rv is None)
-        assert W.iterations == iterations
+        assert W.iterations == ladder_iterations(D, c, order)
         assert check_q_cokernel(W) is q_cokernel_oracle(D, c, P, order)
 
     def test_initial_matrix_matches_oracle(self):
@@ -606,6 +658,17 @@ class TestUnramifiedAgainstOracle:
         order = default_order(ctx)
         assert check_cocycle(D, 4, 7, order)
         assert cocycle_oracle(D, 4, 7, order)
+
+    def test_f2_n6_single_level(self):
+        # mh = 22 is at or below the ladder's bottom: one level at full order
+        ctx = PrecisionContext(3, 6, 2)
+        D = eligible_random(ctx, 2, random.Random(24))
+        order = default_order(ctx)
+        assert wach._levels(order - 2) == [order - 2]
+        W = gamma_matrix(D, 4)
+        _, _, H, _, _, iterations = lattice_oracle(D, 4, order, ring=REFERENCE)
+        assert raw_matrix(W.H) == raw_matrix(H)
+        assert W.iterations == iterations
 
     def test_apply_Ti_f2(self):
         ctx = PrecisionContext(5, 2, 2)
