@@ -10,14 +10,18 @@ congruent to Diag(p^{r_i}) A mod pi^{p-1}, and solves
     H - q^{p-1} gamma(P^{-1}) phi(H) P = Q    with    gamma(P^{-1}) P = Id + pi^{p-1} Q
 
 by the fixed-point iteration H <- Q + L(H), monitored by the combined
-(p, pi)-valuation of successive differences.  L(H) mod pi^n depends only
-on H mod pi^n, so the iteration runs as a pi-adic doubling ladder: it
-solves at a small pi-order (at most LADDER_BOTTOM), pads the fixed point
-with zeros to twice that order and iterates again, up to the full order,
-where only two or three iterations are left (the precision doubling for
-power-series solutions of Bostan, Chyzak, Ollivier, Salvy, Schost and
-Sedoglavic, SODA 2007); a given starting matrix seeds one full-order
-solve instead.  The group action on the new lattice is
+(p, pi)-valuation of successive differences.  phi(H) mod pi^n reads only
+the first t(n) pi-powers of H (phi(pi)^{t(n)} vanishes there), so an
+iterate that agrees with the one before on those is the fixed point.
+L(H) mod pi^n depends only on H mod pi^n, so the iteration runs as a
+pi-adic ladder: it solves at a small pi-order (at most LADDER_BOTTOM),
+pads the fixed point with zeros to the next order n and iterates again,
+up to the full order.  Each order is at most twice the one below, and the
+one below n is t(n) where that is no more, so that n is seeded exactly
+and takes one iteration (the precision doubling for power-series
+solutions of Bostan, Chyzak, Ollivier, Salvy, Schost and Sedoglavic,
+SODA 2007).  A given starting matrix seeds one full-order solve instead.
+The group action on the new lattice is
 G = Id + pi^{p-1} H, and the defining relation gamma(P) G = phi(G) P is
 re-verified by direct substitution.
 
@@ -265,20 +269,23 @@ def compute_Q(D: FilPhiModule, c: int, order: int | None = None):
         cols)) for j in range(d)] for i in range(d)])
 
 
-#: The bottom of the solver's doubling ladder: halving the pi-order stops at
-#: the first level at or below it.  lattice-n20's solve time is flat for
-#: bottoms 8-32 and rises above; small orders (N = 6), whose direct solve
-#: takes 2-5 iterations, lose time to each extra level, so 24 is the top of
-#: that flat range.
+#: The bottom of the solver's ladder: descending the pi-orders stops at the
+#: first level at or below it.  lattice-n20's solve time is flat for
+#: bottoms 16-32.  At N = 6 (p 5, 7; f 1, 2) the ladder at 24 is 22-31 %
+#: faster than the direct solve, and bottoms 16-20 are about 10 % faster
+#: still at N = 6, 40 and 80; 24 gives lattice-n20 the fewest levels and
+#: solves orders up to 24 (p = 3 at N = 6) in one level.
 LADDER_BOTTOM = 24
 
 
-def _levels(mh: int) -> list[int]:
-    """The solver's pi-orders n_0 < ... < n_k = mh, n_{i-1} = ceil(n_i / 2),
-    down to the first at or below LADDER_BOTTOM."""
+def _levels(ctx, mh: int) -> list[int]:
+    """The solver's pi-orders n_0 < ... < n_k = mh, down to the first at or
+    below LADDER_BOTTOM.  Below n comes min(t(n), ceil(n / 2)), t(n) the
+    number of pi-powers that phi reads at order n (its table's length over
+    f): a level seeded exactly mod pi^{t(n)} converges in one iteration."""
     levels = [mh]
-    while levels[-1] > LADDER_BOTTOM:
-        levels.append((levels[-1] + 1) // 2)
+    while (n := levels[-1]) > LADDER_BOTTOM:
+        levels.append(min(len(phi_table(ctx, n)) // ctx.f, (n + 1) // 2))
     return levels[::-1]
 
 
@@ -293,14 +300,15 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
 
     Each step is H <- Q + A^{-1} (W o phi(H)) A on packed values.  L(H) mod
     pi^n depends only on H mod pi^n, so the solve runs as a ladder of
-    pi-orders n_0 < ... < n_k = mh (`_levels`, each the ceiling of half the
-    next, the bottom at or below LADDER_BOTTOM): the fixed point mod pi^n
-    (Q cut to n, W read from the top-order ingredients at n) is the unique
-    one at that order, and, padded with zeros, it starts the next level, so
-    only the last few iterations run at full size.  Each level keeps the
-    stall window and the cap, and its H must reduce to the level below's,
-    else CongruenceFailure.  `initial` overrides the starting matrix and
-    then seeds a single top-level solve (used by the uniqueness tests); the
+    pi-orders n_0 < ... < n_k = mh (`_levels`, the bottom at or below
+    LADDER_BOTTOM): the fixed point mod pi^n (Q cut to n, W read from the
+    top-order ingredients at n) is the unique one at that order, and,
+    padded with zeros, it starts the next level.  A level whose seed holds
+    every pi-power that phi reads at its order takes one iteration; one
+    whose seed is half its order, a few.  Each level keeps the stall window
+    and the cap, and its H must reduce to the level below's, else
+    CongruenceFailure.  `initial` overrides the starting matrix and then
+    seeds a single top-level solve (used by the uniqueness tests); the
     fixed point does not depend on it.  `Q` passes compute_Q(D, c, order)
     when the caller already has it.
 
@@ -319,7 +327,7 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
             for j in range(d)] for i in range(d)]
     Qc = _raw(Q)
     if initial is None:
-        levels = _levels(mh)
+        levels = _levels(ctx, mh)
         H = [[q[:levels[0] * f] for q in row] for row in Qc]
     else:
         levels = [mh]
@@ -350,8 +358,12 @@ def solve_H(D: FilPhiModule, c: int, order: int | None = None,
 def _fixed_point(ker, table, W, mix, Qp, H, window, cap):
     """(fixed point, iterations) of H <- Q + A^{-1} (W o phi(H)) A modulo
     pi^M of `ker`, from H (flat coordinate lists), under the stall window
-    and the iteration cap."""
-    d, p = len(H), ker.p
+    and the iteration cap.
+
+    phi reads only the first len(table) coordinates of an entry (`combo`),
+    so an iterate that agrees with the one before on those has the same
+    image under the step: it is the fixed point, returned at once."""
+    d, p, k = len(H), ker.p, len(table)
     best, stale, iterations = -1, 0, 0
     while True:
         iterations += 1
@@ -361,12 +373,11 @@ def _fixed_point(ker, table, W, mix, Qp, H, window, cap):
              for w, h in zip(W, (h for row in H for h in row))]
         Hnew = [[ker.unpack(ker.dot(mix[i][j], X, Qp[i][j])) for j in range(d)]
                 for i in range(d)]
-        w = _difference_valuation(
-            ((new, old) for nrow, orow in zip(Hnew, H) for new, old in zip(nrow, orow)),
-            ker, p - 1)
+        pairs = [(new, old) for nrow, orow in zip(Hnew, H) for new, old in zip(nrow, orow)]
+        if all(new[:k] == old[:k] for new, old in pairs):
+            return Hnew, iterations
+        w = _difference_valuation(pairs, ker, p - 1)
         H = Hnew
-        if w is None:
-            return H, iterations
         if w > best:
             best, stale = w, 0
         else:

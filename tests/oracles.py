@@ -9,7 +9,12 @@ O_F / p^N are the earlier separate loops: the characteristic polynomial by
 permutation expansion, and Smith form, determinant and residue rank each
 with its own reduction.  The lattice oracle solves for H and forms the
 residual and the q-cokernel product with matrices of series and two full
-matrix products per step, none of the packed pipeline of `wach.py`.  Its
+matrix products per step, none of the packed pipeline of `wach.py`, and
+stops at the first iterate that agrees with the one before on the
+pi-powers that phi reads, counted in its own ring.  The packed solver's
+earlier loop, which stopped only on an iterate equal to the one before in
+every coordinate, and its halving levels are kept as
+`full_compare_fixed_point` and `halving_levels`.  The lattice oracle's
 series ring is either the library's (`APlusSeries` and the shared
 ingredients) or `SeriesRef`: one `OFElement` per coefficient, the schoolbook
 convolution, Horner substitution and a coefficientwise Frobenius, the object
@@ -53,7 +58,7 @@ from wachlab.padic import (
     vp_fraction,
     vp_int,
 )
-from wachlab.wach import _ingredients
+from wachlab.wach import LADDER_BOTTOM, _difference_valuation, _ingredients
 
 
 def irreducible_ref(modulus, p):
@@ -779,7 +784,10 @@ def lattice_oracle(D, c, order, initial=None, ring=LIBRARY, levels=None):
 
 def _oracle_solve(D, c, order, initial, ring):
     """(P, Q, H, iterations) of the direct iteration at `order`, from
-    `initial` (default Q)."""
+    `initial` (default Q).  It stops at the first iterate that agrees with
+    the one before on the first k pi-powers, k the least with phi(pi)^k = 0
+    at the solve's order in `ring`: phi of the two is then equal, so the
+    iterate is the fixed point."""
     ctx = D.ctx
     p, d, A = ctx.p, D.d, D.A.entries
     ing = ring.ingredients(ctx, order, c)
@@ -793,6 +801,9 @@ def _oracle_solve(D, c, order, initial, ring):
          for r in set(D.jumps)}
     C = [[z[D.jumps[j]] * ainv[i][j] for j in range(d)] for i in range(d)]
     Ph = [[e.truncate(mh) for e in row] for row in P]
+    phi_pi, k, power = ring.phi(ring.series(ctx, mh, [0, 1])), 0, ring.series(ctx, mh, [1])
+    while power.pi_valuation() is not None:
+        k, power = k + 1, power * phi_pi
     window = max(d * ctx.f * ctx.N, 4)
     H = Q if initial is None else [[ring.series(ctx, e.order, e.coeffs) for e in row]
                                    for row in initial]
@@ -801,16 +812,55 @@ def _oracle_solve(D, c, order, initial, ring):
         iterations += 1
         L = _smat_mul(_smat_mul(C, [[ring.phi(h) for h in row] for row in H]), Ph)
         Hnew = [[q + l for q, l in zip(qrow, lrow)] for qrow, lrow in zip(Q, L)]
-        delta = _smat_valuation(_smat_sub(Hnew, H), p - 1)
+        diff = _smat_sub(Hnew, H)
         H = Hnew
-        if delta is None:
+        if all(s.pi_valuation() is None or s.pi_valuation() >= k for row in diff for s in row):
             return P, Q, H, iterations
+        delta = _smat_valuation(diff, p - 1)
         if delta > best:
             best, stale = delta, 0
         else:
             stale += 1
             if stale >= window:
                 raise NonConvergence("oracle iteration stalled")
+
+
+def halving_levels(ctx, mh):
+    """The solver's pi-orders when each level was the ceiling of half the
+    next, down to the first at or below LADDER_BOTTOM."""
+    levels = [mh]
+    while levels[-1] > LADDER_BOTTOM:
+        levels.append((levels[-1] + 1) // 2)
+    return levels[::-1]
+
+
+def full_compare_fixed_point(ker, table, W, mix, Qp, H, window, cap):
+    """`wach._fixed_point` with its earlier stop: iterate until an iterate
+    equals the one before in every coordinate."""
+    d, p = len(H), ker.p
+    best, stale, iterations = -1, 0, 0
+    while True:
+        iterations += 1
+        if iterations > cap:
+            raise NonConvergence("iteration cap exceeded", reason="cap")
+        X = [ker.mul_n(w, ker.combo(h, table))
+             for w, h in zip(W, (h for row in H for h in row))]
+        Hnew = [[ker.unpack(ker.dot(mix[i][j], X, Qp[i][j])) for j in range(d)]
+                for i in range(d)]
+        w = _difference_valuation(
+            ((new, old) for nrow, orow in zip(Hnew, H) for new, old in zip(nrow, orow)),
+            ker, p - 1)
+        H = Hnew
+        if w is None:
+            return H, iterations
+        if w > best:
+            best, stale = w, 0
+        else:
+            stale += 1
+            if stale >= window:
+                raise NonConvergence(
+                    f"residual valuation stalled at {best} for {window} "
+                    f"iterations (slope hypothesis violated?)")
 
 
 def _sum_series(terms):

@@ -9,6 +9,8 @@ from oracles import (
     IngredientsRef,
     SeriesRef,
     cocycle_oracle,
+    full_compare_fixed_point,
+    halving_levels,
     lattice_oracle,
     q_cokernel_oracle,
     residual_oracle,
@@ -298,7 +300,7 @@ class TestSolveH:
     def test_nonconvergence_through_the_ladder(self):
         # the same module at an order whose solve spans several levels
         D = module(3, 6, [0, 2], [[1, 1], [1, 2]])
-        assert len(wach._levels(60 - 2)) >= 2
+        assert len(wach._levels(D.ctx, 60 - 2)) >= 2
         with pytest.raises(NonConvergence):
             solve_H(D, 4, 60)
 
@@ -308,7 +310,7 @@ class TestSolveH:
         # a wrong one, at the bottom or the top, raises CongruenceFailure
         ctx = PrecisionContext(5, 6)
         D = eligible_random(ctx, 2, random.Random(22))
-        levels = wach._levels(default_order(ctx) - 4)
+        levels = wach._levels(ctx, default_order(ctx) - 4)
         assert len(levels) >= 2
         true_fixed_point = wach._fixed_point
 
@@ -339,6 +341,68 @@ class TestSolveH:
             H2, _ = solve_H(D2, 1 + p)
             assert raw_matrix(H) == [[[x % ctx.pN for x in s.raw()[:mh]] for s in row]
                                      for row in H2]
+
+
+class TestPrefixStop:
+    """The solver's stop at the first iterate that agrees with the one
+    before on the pi-powers that phi reads, and its levels from the
+    Frobenius table, against the loop they replaced
+    (`oracles.full_compare_fixed_point` on `oracles.halving_levels`)."""
+
+    CASES = [(p, f, N, want) for p in (3, 5, 7) for f in (1, 2) for N in (6, 12, 20)
+             for want in ("unit_root", "top")]
+
+    @pytest.mark.parametrize("p,f,N,want", CASES)
+    def test_same_H_as_full_compare(self, p, f, N, want, monkeypatch):
+        # six modules per case (216 in all) and a random initial= seed
+        ctx = PrecisionContext(p, N, f)
+        rng = random.Random(f"prefix/{p}/{f}/{N}/{want}")
+        c, order = 1 + p, default_order(ctx)
+        mh = order - (p - 1)
+        # rank 3 at f = 2 rarely misses the top slope: draw rank 2 there
+        ranks = (1, 2, 3) if want == "unit_root" else (2, 3) if f == 1 else (2,)
+        modules = [eligible_random(ctx, ranks[k % len(ranks)], rng, want) for k in range(6)]
+        Qs = [compute_Q(D, c, order) for D in modules]
+        d = modules[0].d
+        seed = [[APlusSeries(ctx, mh, [tuple(rng.randrange(ctx.pN) for _ in range(f))
+                                       for _ in range(mh)]) for _ in range(d)]
+                for _ in range(d)]
+        new = [solve_H(D, c, order, Q=Q)[0] for D, Q in zip(modules, Qs)]
+        H_seeded, steps = solve_H(modules[0], c, order, initial=seed, Q=Qs[0])
+        monkeypatch.setattr(wach, "_levels", halving_levels)
+        monkeypatch.setattr(wach, "_fixed_point", full_compare_fixed_point)
+        assert [raw_matrix(H) for H in new] == [
+            raw_matrix(solve_H(D, c, order, Q=Q)[0]) for D, Q in zip(modules, Qs)]
+        H_full, full_steps = solve_H(modules[0], c, order, initial=seed, Q=Qs[0])
+        assert raw_matrix(H_seeded) == raw_matrix(H_full) == raw_matrix(new[0])
+        # one level: the full compare stops one iteration later, or at the
+        # same one when an iterate is already the fixed point although its
+        # prefix differs from the one before (phi is not injective mod p^N)
+        assert full_steps - 1 <= steps <= full_steps
+
+    @pytest.mark.parametrize("N", (20, 40))
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_one_iteration_per_covered_level(self, p, N, monkeypatch):
+        # a level seeded by every pi-power that phi reads at its order is the
+        # fixed point after one iteration; at the default order the top
+        # level is one of them
+        ctx = PrecisionContext(p, N)
+        D = eligible_random(ctx, 2, random.Random(f"levels/{p}/{N}"))
+        seen, true_fixed_point = [], wach._fixed_point
+
+        def recorded(ker, table, *args):
+            H, steps = true_fixed_point(ker, table, *args)
+            seen.append((ker.M, len(table) // ker.f, steps))
+            return H, steps
+
+        monkeypatch.setattr(wach, "_fixed_point", recorded)
+        _, iterations = solve_H(D, 1 + p)
+        mh = default_order(ctx) - (p - 1)
+        assert [n for n, _, _ in seen] == wach._levels(ctx, mh)
+        assert iterations == sum(steps for _, _, steps in seen)
+        covered = [steps for (below, _, _), (_, t, steps) in zip(seen, seen[1:])
+                   if below >= t]
+        assert seen[-2][0] >= seen[-1][1] and covered == [1] * len(covered)
 
 
 class TestGammaMatrix:
@@ -542,7 +606,7 @@ def bumped(M, i, j, k, delta=1):
 
 def ladder_iterations(D, c, order):
     """The oracle's iteration count summed over the solver's levels."""
-    return lattice_oracle(D, c, order, levels=wach._levels(order - (D.ctx.p - 1)))[5]
+    return lattice_oracle(D, c, order, levels=wach._levels(D.ctx, order - (D.ctx.p - 1)))[5]
 
 
 class TestPackedAgainstOracle:
@@ -664,7 +728,7 @@ class TestUnramifiedAgainstOracle:
         ctx = PrecisionContext(3, 6, 2)
         D = eligible_random(ctx, 2, random.Random(24))
         order = default_order(ctx)
-        assert wach._levels(order - 2) == [order - 2]
+        assert wach._levels(ctx, order - 2) == [order - 2]
         W = gamma_matrix(D, 4)
         _, _, H, _, _, iterations = lattice_oracle(D, 4, order, ring=REFERENCE)
         assert raw_matrix(W.H) == raw_matrix(H)
